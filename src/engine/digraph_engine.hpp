@@ -71,8 +71,10 @@ struct WaveKernels;
 struct DispatchOutcome
 {
     PartitionId partition = kInvalidPartition;
-    /** Vertices whose mirrors were stale at dispatch start (sorted;
-     *  drives the ring master-refresh pulls at replay). */
+    /** Vertices whose mirrors were stale at dispatch start, in stale-
+     *  queue (fan-out) order; drives the ring master-refresh pulls at
+     *  replay, which only sum bytes per home device, so the order does
+     *  not matter. */
     std::vector<VertexId> stale_vertices;
     /** Lane runs: per stale vertex, the mask of lanes flagged changed
      *  (parallel to stale_vertices) — the refresh pull ships only those

@@ -275,8 +275,12 @@ DiGraphEngine::recoverFromDeviceLoss(DeviceId dead, std::uint64_t wave,
               static_cast<std::uint8_t>(0));
     for (auto &wl : plane_.partition_worklist)
         wl.clear();
+    // The pending flags go with their queues (lane runs exclude fault
+    // tolerance, so there is no lane mask to clear).
     for (auto &queue : plane_.stale_queue)
         queue.clear();
+    std::fill(plane_.stale_pending.begin(), plane_.stale_pending.end(),
+              static_cast<std::uint8_t>(0));
     for (auto &dirty : plane_.partition_dirty)
         dirty.reset();
     std::fill(plane_.partition_active.begin(),

@@ -101,9 +101,8 @@ ReplicaSync::convertStaleQueue(ValuePlane &plane, PartitionId p,
                                std::vector<VertexId> &stale_vertices) const
 {
     auto &queue = plane.stale_queue[p];
-    std::sort(queue.begin(), queue.end());
-    queue.erase(std::unique(queue.begin(), queue.end()), queue.end());
     for (const VertexId v : queue) {
+        plane.stale_pending[mirrorEntry(v, p)] = 0;
         bool any_stale = false;
         const auto occ_begin =
             occur_slots_.begin() +
@@ -170,8 +169,9 @@ ReplicaSync::fanOutChanged(
         for (std::uint64_t k = mirror_offsets_[v];
              k < mirror_offsets_[v + 1]; ++k) {
             const PartitionId part = mirror_parts_[k];
-            if (part == p && self_current)
+            if ((part == p && self_current) || plane.stale_pending[k])
                 continue;
+            plane.stale_pending[k] = 1;
             plane.stale_queue[part].push_back(v);
         }
         for (std::uint64_t k = consumer_offsets_[v];
@@ -213,14 +213,14 @@ ReplicaSync::convertStaleQueueLanes(
     std::vector<std::uint64_t> &stale_lanes) const
 {
     auto &queue = plane.stale_queue[p];
-    auto &queue_lanes = plane.stale_queue_lanes[p];
-    // Dedup like the scalar queue, OR-merging the lane masks of
-    // repeated entries (the same master may change in different lanes
-    // across waves before this partition runs).
-    sortMergeChangedLanes(queue, queue_lanes);
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        const VertexId v = queue[i];
-        const std::uint64_t lanes_mask = queue_lanes[i];
+    for (const VertexId v : queue) {
+        // The OR of every fan-out's changed lanes since this partition
+        // last ran (the same master may change in different lanes
+        // across waves before it runs).
+        std::uint64_t &pending =
+            plane.stale_pending_lanes[mirrorEntry(v, p)];
+        const std::uint64_t lanes_mask = pending;
+        pending = 0;
         bool any_stale = false;
         const auto occ_begin =
             occur_slots_.begin() +
@@ -245,7 +245,6 @@ ReplicaSync::convertStaleQueueLanes(
         }
     }
     queue.clear();
-    queue_lanes.clear();
 }
 
 void
@@ -276,8 +275,10 @@ ReplicaSync::fanOutChangedLanes(
             const PartitionId part = mirror_parts_[k];
             if (part == p && self_current)
                 continue;
-            plane.stale_queue[part].push_back(v);
-            plane.stale_queue_lanes[part].push_back(changed_lanes[i]);
+            std::uint64_t &pending = plane.stale_pending_lanes[k];
+            if (pending == 0)
+                plane.stale_queue[part].push_back(v);
+            pending |= changed_lanes[i];
         }
         for (std::uint64_t k = consumer_offsets_[v];
              k < consumer_offsets_[v + 1]; ++k) {

@@ -170,6 +170,27 @@ class ReplicaSync
     /** Total E_idx slots covered by the indexes. */
     std::size_t numSlots() const { return path_of_slot_.size(); }
 
+    /** Entries of the mirror CSR: one per (vertex, partition holding an
+     *  occurrence of it) pair. ValuePlane keeps a stale-queue pending
+     *  flag (lane runs: mask) per entry. */
+    std::size_t numMirrorEntries() const { return mirror_parts_.size(); }
+
+    /** Mirror-CSR entry of the pair (@p v, @p p), or numMirrorEntries()
+     *  when @p p holds no occurrence of @p v. */
+    std::uint64_t
+    mirrorEntry(VertexId v, PartitionId p) const
+    {
+        const auto begin = mirror_parts_.begin();
+        const auto lo =
+            begin + static_cast<std::ptrdiff_t>(mirror_offsets_[v]);
+        const auto hi =
+            begin + static_cast<std::ptrdiff_t>(mirror_offsets_[v + 1]);
+        const auto it = std::lower_bound(lo, hi, p);
+        return it != hi && *it == p
+                   ? static_cast<std::uint64_t>(it - begin)
+                   : mirror_parts_.size();
+    }
+
     // --- batched sync operations (mutate only @p plane) ---
 
     /** Activate every source occurrence of @p v and mark the owning
@@ -178,12 +199,16 @@ class ReplicaSync
     void activateVertex(ValuePlane &plane, VertexId v) const;
 
     /**
-     * Consume partition @p p's stale-vertex queue: for each queued
-     * vertex whose master version bumped since a local slot last
-     * absorbed it, update the slot's seen version, activate source
-     * slots, and append the vertex to @p stale_vertices (sorted by the
-     * queue's sort; drives the ring master-refresh pulls at replay).
-     * Replaces a dispatch-start full version scan of the slot range.
+     * Consume partition @p p's stale-vertex queue: clear each queued
+     * vertex's pending flag, and for each local slot that has not
+     * absorbed the vertex's current master version, update the slot's
+     * seen version and activate it when it is a source slot. Vertices
+     * with such a slot are appended to @p stale_vertices in queue
+     * order; they drive the ring master-refresh pulls at replay, which
+     * only sum bytes per home device, so the order does not matter.
+     * fanOutChanged() enqueues each vertex at most once, so the queue
+     * needs no sort or dedupe here. Replaces a dispatch-start full
+     * version scan of the slot range.
      */
     void convertStaleQueue(ValuePlane &plane, PartitionId p,
                            std::uint64_t slot_lo, std::uint64_t slot_hi,
@@ -247,11 +272,15 @@ class ReplicaSync
     /**
      * Wave-barrier activation fan-out of the committed @p changed
      * masters (serial phase): feed the stale queues of mirroring
-     * partitions and wake consumer partitions. The dispatching
-     * partition @p p skips itself only when its private @p overlay
-     * already equals the committed master (sole writer). Partitions
-     * woken from inactive are appended to @p activated_parts
-     * (unsorted; caller dedups) for the notification transfers.
+     * partitions and wake consumer partitions. A vertex is appended to
+     * a partition's queue only when its pending flag for that partition
+     * (ValuePlane::stale_pending) is clear, and the flag is then set,
+     * so each queue holds a vertex at most once and never outgrows the
+     * partition's mirror entries. The dispatching partition @p p skips
+     * itself only when its private @p overlay already equals the
+     * committed master (sole writer). Partitions woken from inactive
+     * are appended to @p activated_parts (unsorted; caller dedups) for
+     * the notification transfers.
      */
     void fanOutChanged(ValuePlane &plane, PartitionId p,
                        const std::vector<VertexId> &changed,
@@ -269,8 +298,9 @@ class ReplicaSync
                             unsigned lane) const;
 
     /** Lane variant of convertStaleQueue(): a stale slot re-activates
-     *  exactly the lanes its queue entries flagged as changed (masks
-     *  ride ValuePlane::stale_queue_lanes) — one lane's progress never
+     *  exactly the lanes the fan-outs flagged as changed since the
+     *  partition last ran (the entry's ValuePlane::stale_pending_lanes
+     *  mask, taken and cleared here) — one lane's progress never
      *  schedules edge work for the other K-1 lanes. @p stale_lanes
      *  collects each stale vertex's changed-lane mask (parallel to
      *  @p stale_vertices) so the transport can delta-encode the refresh
@@ -313,9 +343,10 @@ class ReplicaSync
 
     /** Lane variant of fanOutChanged(): the dispatching partition is
      *  "current" only when its overlay stripe equals the committed lane
-     *  masters across ALL lanes. Stale-queue entries carry the
-     *  per-vertex changed-lane mask (@p changed_lanes parallel to
-     *  @p changed). */
+     *  masters across ALL lanes. The per-vertex changed-lane mask
+     *  (@p changed_lanes parallel to @p changed) is ORed into the
+     *  entry's ValuePlane::stale_pending_lanes; the vertex is enqueued
+     *  only when that mask was zero. */
     void fanOutChangedLanes(ValuePlane &plane, PartitionId p,
                             const std::vector<VertexId> &changed,
                             const std::vector<std::uint64_t> &changed_lanes,
@@ -339,8 +370,9 @@ class ReplicaSync
      *  (deduplicated; used for activation fan-out). */
     std::vector<std::uint64_t> consumer_offsets_;
     std::vector<PartitionId> consumer_parts_;
-    /** CSR: vertex -> partitions holding ANY occurrence (deduplicated;
-     *  used for the stale-vertex queue fan-out at the wave barrier). */
+    /** CSR: vertex -> partitions holding ANY occurrence (deduplicated,
+     *  ascending; used for the stale-vertex queue fan-out at the wave
+     *  barrier). */
     std::vector<std::uint64_t> mirror_offsets_;
     std::vector<PartitionId> mirror_parts_;
 };

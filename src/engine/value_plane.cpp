@@ -21,7 +21,8 @@ ValuePlane::beginRun(const partition::Preprocessed &pre)
     path_in_worklist.assign(npaths, 0);
     partition_worklist.assign(nparts, {});
     stale_queue.assign(nparts, {});
-    stale_queue_lanes.assign(nparts, {});
+    stale_pending.assign(sync_->numMirrorEntries(), 0);
+    stale_pending_lanes.clear();
     partition_dirty.resize(nparts);
     for (PartitionId q = 0; q < nparts; ++q) {
         partition_dirty[q].bind(
@@ -78,6 +79,8 @@ ValuePlane::initializeLanes(const graph::DirectedGraph &g,
     slot_lane_mask.assign(nslots, 0);
     lane_active_slots.assign(
         static_cast<std::size_t>(pre.numPartitions()) * k, 0);
+    stale_pending_lanes.assign(sync_->numMirrorEntries(), 0);
+    stale_pending.clear();
 }
 
 void
@@ -201,7 +204,31 @@ ValuePlane::bookkeepingConsistent(const partition::Preprocessed &pre) const
         if (path_in_worklist[q] && !listed[q])
             return false;
     }
-    if (lane_count > 0) {
+    // Stale queues: each queued vertex is mirrored by the queue's
+    // partition, appears once, and holds that entry's pending flag
+    // (lane runs: a nonzero mask); every pending entry is queued.
+    const std::size_t nentries = sync_->numMirrorEntries();
+    const bool lanes = lane_count > 0;
+    if ((lanes ? stale_pending_lanes.size() : stale_pending.size()) !=
+        nentries)
+        return false;
+    const auto pending = [&](std::uint64_t k) {
+        return lanes ? stale_pending_lanes[k] != 0 : stale_pending[k] != 0;
+    };
+    std::vector<std::uint8_t> queued(nentries, 0);
+    for (PartitionId q = 0; q < pre.numPartitions(); ++q) {
+        for (const VertexId v : stale_queue[q]) {
+            const std::uint64_t k = sync_->mirrorEntry(v, q);
+            if (k == nentries || queued[k] || !pending(k))
+                return false;
+            queued[k] = 1;
+        }
+    }
+    for (std::uint64_t k = 0; k < nentries; ++k) {
+        if (pending(k) && !queued[k])
+            return false;
+    }
+    if (lanes) {
         // Lane invariants: the scalar slot flag tracks the union over
         // lanes, and the per-(partition, lane) counters recount.
         std::vector<std::uint64_t> lane_recount(lane_active_slots.size(),
@@ -243,8 +270,8 @@ ValuePlane::memoryBytes() const
         bytes += wl.capacity() * sizeof(PathId);
     for (const auto &queue : stale_queue)
         bytes += queue.capacity() * sizeof(VertexId);
-    for (const auto &queue : stale_queue_lanes)
-        bytes += queue.capacity() * sizeof(std::uint64_t);
+    bytes += stale_pending.size() * sizeof(std::uint8_t);
+    bytes += stale_pending_lanes.size() * sizeof(std::uint64_t);
     for (const auto &dirty : partition_dirty)
         bytes += dirty.memoryBytes();
     bytes += (lane_v.size() + lane_s.size() + lane_loaded.size() +

@@ -82,12 +82,24 @@ class ValuePlane
     std::vector<std::vector<PathId>> partition_worklist;
     /** Per partition: vertices whose master version bumped since the
      *  partition last absorbed them (fed at the wave barrier; consumed
-     *  at dispatch start instead of a full slot-range version scan). */
+     *  at dispatch start instead of a full slot-range version scan).
+     *  Each vertex appears at most once, in fan-out order: the pending
+     *  flags below dedupe entries when they are enqueued. Queues may be
+     *  non-empty at convergence (a partition holding the vertex only at
+     *  a path tail is never woken to consume it). */
     std::vector<std::vector<VertexId>> stale_queue;
-    /** Lane runs: per stale_queue entry, the mask of lanes whose master
-     *  actually changed (parallel vectors; scalar runs leave these
-     *  empty). Conversion activates only the masked lanes. */
-    std::vector<std::vector<std::uint64_t>> stale_queue_lanes;
+    /** Scalar runs: per mirror-CSR entry (a (vertex, mirroring
+     *  partition) pair, ReplicaSync::mirrorEntry()), set while the
+     *  vertex sits in that partition's stale_queue. Set only by the
+     *  serial barrier fan-out; cleared only by the owning partition's
+     *  dispatch (or device-loss recovery). Empty on lane runs. */
+    std::vector<std::uint8_t> stale_pending;
+    /** Lane runs: per mirror-CSR entry, the OR of the lanes whose master
+     *  changed since the partition last absorbed the vertex; nonzero
+     *  exactly while the vertex is queued. Conversion activates only the
+     *  masked lanes. Same ownership as stale_pending; empty on scalar
+     *  runs. */
+    std::vector<std::uint64_t> stale_pending_lanes;
     /** Per partition: dirty-slot worklist for the mirror-push phase. */
     std::vector<storage::SlotDirtySet> partition_dirty;
 
@@ -309,9 +321,12 @@ class ValuePlane
 
     /**
      * Validate the incremental activation bookkeeping (tests): per-path
-     * active-slot counters must equal a full recount of slot flags, and
+     * active-slot counters must equal a full recount of slot flags,
      * every path with a nonzero counter must sit in its partition's
-     * worklist. O(total slots) — debug/tests only.
+     * worklist, and the stale queues must match their pending flags
+     * (lane runs: masks) — every queued vertex is mirrored by that
+     * queue's partition, appears once, and is flagged, and every
+     * flagged entry is queued. O(total slots) — debug/tests only.
      */
     bool bookkeepingConsistent(const partition::Preprocessed &pre) const;
 

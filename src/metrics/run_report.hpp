@@ -133,8 +133,6 @@ struct RunReport
     double preprocess_seconds = 0.0;
     /** Mean SMX utilization in [0,1]. */
     double utilization = 0.0;
-    /** Simulated cycles spent computing. */
-    double compute_cycles = 0.0;
     /** Simulated cycles spent on transfers (serialized view). */
     double comm_cycles = 0.0;
 

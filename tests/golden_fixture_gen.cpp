@@ -12,6 +12,13 @@
  * the PRE-refactor monolithic engine (PR 4 tree); the harness replays
  * them against the layered engine, so regenerating them with a current
  * build only makes sense after an *intentional* numeric change.
+ *
+ * The hub_* fixtures cover the replication hub case the 400-vertex
+ * golden graph lacks (no vertex there is mirrored by more than 8
+ * partitions): the twitter stand-in at scale 0.02 has vertices mirrored
+ * by more than 32 of its partitions. They were recorded by the engine
+ * whose stale queues were sorted and deduplicated at every dispatch,
+ * before stale entries were deduplicated when enqueued.
  */
 
 #include <cinttypes>
@@ -58,16 +65,19 @@ bits(double v)
     return u;
 }
 
+/** Write one fixture as <prefix><algo>_<mode>.txt under @p dir. */
 void
-writeFixture(const std::string &dir, const std::string &algo,
+writeFixture(const std::string &dir, const std::string &prefix,
+             const std::string &header, const std::string &algo,
              engine::ExecutionMode mode, const metrics::RunReport &report)
 {
     const std::string mode_name = engine::modeName(mode);
-    const std::string path = dir + "/" + algo + "_" + mode_name + ".txt";
+    const std::string path =
+        dir + "/" + prefix + algo + "_" + mode_name + ".txt";
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         fatal("golden_fixture_gen: cannot open ", path);
-    std::fprintf(f, "# golden fixture: pre-refactor DiGraph engine\n");
+    std::fprintf(f, "# golden fixture: %s\n", header.c_str());
     std::fprintf(f, "algo %s\n", algo.c_str());
     std::fprintf(f, "mode %s\n", mode_name.c_str());
     std::fprintf(f, "sim_cycles %016" PRIx64 "\n", bits(report.sim_cycles));
@@ -115,6 +125,7 @@ main(int argc, char **argv)
         return 2;
     }
     const std::string dir = argv[1];
+    const std::string kPreRefactor = "pre-refactor DiGraph engine";
     const graph::DirectedGraph g = graph::generate(goldenGraphConfig());
 
     const std::vector<std::string> all_algos = {
@@ -129,8 +140,8 @@ main(int argc, char **argv)
         opts.engine_threads = 1;
         engine::DiGraphEngine eng(g, opts);
         const auto algo = algorithms::makeAlgorithm(name, g);
-        writeFixture(dir, name, engine::ExecutionMode::PathAsync,
-                     eng.run(*algo));
+        writeFixture(dir, "", kPreRefactor, name,
+                     engine::ExecutionMode::PathAsync, eng.run(*algo));
     }
     for (const std::string &name : mode_algos) {
         for (const engine::ExecutionMode mode :
@@ -142,9 +153,24 @@ main(int argc, char **argv)
             opts.engine_threads = 1;
             engine::DiGraphEngine eng(g, opts);
             const auto algo = algorithms::makeAlgorithm(name, g);
-            writeFixture(dir, name, mode, eng.run(*algo));
+            writeFixture(dir, "", kPreRefactor, name, mode,
+                         eng.run(*algo));
         }
     }
     writeHitsFixture(dir, g);
+
+    const graph::DirectedGraph hub =
+        graph::makeDataset(graph::Dataset::twitter, 0.02);
+    for (const std::string name : {"pagerank", "sssp"}) {
+        engine::EngineOptions opts;
+        opts.platform = smallPlatform();
+        opts.engine_threads = 1;
+        engine::DiGraphEngine eng(hub, opts);
+        const auto algo = algorithms::makeAlgorithm(name, hub);
+        writeFixture(dir, "hub_",
+                     "twitter stand-in at scale 0.02, sorted stale queues",
+                     name, engine::ExecutionMode::PathAsync,
+                     eng.run(*algo));
+    }
     return 0;
 }

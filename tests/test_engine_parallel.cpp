@@ -3,13 +3,17 @@
  * The parallel wave execution engine: results must be bit-identical for
  * every engine_threads value (the wave-snapshot + ordered-barrier design
  * guarantee), and the incremental activation bookkeeping (per-path
- * counters, worklists) must stay consistent across dispatch patterns.
+ * counters, worklists, stale queues and their pending flags) must stay
+ * consistent across dispatch patterns, lane runs and device-loss
+ * recovery.
  */
 
 #include <gtest/gtest.h>
 
 #include "algorithms/factory.hpp"
+#include "algorithms/multi_source.hpp"
 #include "engine/digraph_engine.hpp"
+#include "gpusim/fault.hpp"
 #include "metrics/trace.hpp"
 #include "test_util.hpp"
 
@@ -160,6 +164,56 @@ TEST(ActivationBookkeeping, ConsistentUnderForcedRedispatch)
         test::expectStatesNear(report.final_state, ref.final_state,
                                algo->resultTolerance(),
                                std::string("redispatch/") + algo_name);
+    }
+}
+
+TEST(ActivationBookkeeping, ConsistentOnEightLanePpr)
+{
+    // Lane runs dedupe stale entries with a per-entry pending lane mask
+    // instead of the scalar flag; the recount covers both.
+    const auto g = graph::makeDataset(graph::Dataset::dblp, 0.2);
+    std::vector<VertexId> seeds;
+    for (VertexId i = 0; i < 8; ++i)
+        seeds.push_back(i * (g.numVertices() / 8));
+    const algorithms::Ppr ppr(seeds);
+    for (const std::size_t threads : {1ul, 2ul}) {
+        auto opts = optionsWithThreads(threads);
+        opts.max_local_rounds = 1;
+        engine::DiGraphEngine eng(g, opts);
+        const auto report = eng.run(ppr);
+        EXPECT_EQ(report.value_lanes, 8u);
+        EXPECT_TRUE(eng.activationBookkeepingConsistent())
+            << "threads=" << threads;
+        const auto inv = eng.postRunLaneInvariants(ppr);
+        EXPECT_TRUE(inv.ok()) << inv.detail;
+    }
+}
+
+TEST(ActivationBookkeeping, ConsistentAfterDeviceLossRecovery)
+{
+    // Recovery drops every stale queue; the pending flags must go with
+    // them, or the flagged vertices are never enqueued again.
+    const auto g = graph::makeDataset(graph::Dataset::dblp, 0.2);
+    for (const char *algo_name : {"pagerank", "sssp"}) {
+        const auto algo = algorithms::makeAlgorithm(algo_name, g);
+        engine::EngineOptions opts = optionsWithThreads(2);
+        opts.platform.num_devices = 2;
+        engine::DiGraphEngine clean(g, opts);
+        const auto want = clean.run(*algo);
+
+        std::string err;
+        opts.faults = gpusim::FaultPlan::parse(
+            "seed=3,device=1@" + std::to_string(0.4 * want.sim_cycles),
+            err);
+        ASSERT_EQ(err, "");
+        engine::DiGraphEngine faulted(g, opts);
+        const auto got = faulted.run(*algo);
+        EXPECT_EQ(got.recoveries, 1u) << algo_name;
+        EXPECT_TRUE(faulted.activationBookkeepingConsistent())
+            << algo_name;
+        test::expectStatesNear(got.final_state, want.final_state,
+                               algo->resultTolerance(),
+                               std::string("device-loss/") + algo_name);
     }
 }
 

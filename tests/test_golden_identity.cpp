@@ -11,6 +11,10 @@
  * instead, so a future intentional reassociation of their floating-point
  * sums does not invalidate the whole harness; today they too match
  * exactly. HITS is compared against the power-iteration reference.
+ *
+ * The hub_* fixtures replay pagerank and sssp on the twitter stand-in at
+ * scale 0.02, whose hubs are mirrored by more than 32 partitions; both
+ * are held bit for bit (see golden_fixture_gen.cpp for their origin).
  */
 
 #include <cstdint>
@@ -228,6 +232,42 @@ TEST(GoldenIdentity, PagerankAlternateModesWithinTolerance)
         const Fixture fx = loadFixture("pagerank", name);
         const auto report = runGolden(g, "pagerank", mode, 2);
         expectTolerance(fx, report, std::string("pagerank ") + name);
+    }
+}
+
+// ----------------------------------------------------------- hub graph
+
+TEST(GoldenIdentity, HubGraphBitwiseEveryThreadCount)
+{
+    // The twitter stand-in replicates its hubs across more than 32
+    // partitions, so every master change there fans out to that many
+    // stale queues — the case the 400-vertex graph never reaches. These
+    // fixtures were recorded by the layered engine, not the pre-refactor
+    // one, so the accumulative pagerank is held bitwise too, sim cycles
+    // included.
+    const auto g = graph::makeDataset(graph::Dataset::twitter, 0.02);
+    for (const std::string algo : {"pagerank", "sssp"}) {
+        const Fixture fx = loadFixture("hub_" + algo, "digraph");
+        for (const std::size_t threads : kThreadCounts) {
+            engine::EngineOptions opts;
+            opts.platform = smallPlatform();
+            opts.engine_threads = threads;
+            engine::DiGraphEngine eng(g, opts);
+            if (algo == "pagerank" && threads == 1) {
+                const auto &sync = eng.substrate()->sync;
+                std::size_t hubs = 0;
+                for (VertexId v = 0; v < g.numVertices(); ++v)
+                    hubs += sync.mirrorPartitions(v).size() > 32;
+                EXPECT_GT(hubs, 0u) << "no vertex has > 32 mirrors";
+            }
+            const auto report =
+                eng.run(*algorithms::makeAlgorithm(algo, g));
+            expectBitwise(fx, report,
+                          "hub " + algo + " threads=" +
+                              std::to_string(threads));
+            EXPECT_TRUE(eng.activationBookkeepingConsistent())
+                << "hub " << algo << " threads=" << threads;
+        }
     }
 }
 
