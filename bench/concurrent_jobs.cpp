@@ -18,6 +18,14 @@
  * co-scheduling) instead of the batch FIFO drain — comparing scheduled
  * against FIFO throughput on one machine.
  *
+ * The session-threads sweep drains the 3 jobs through a batch-mode
+ * GraphService at session_threads 1, 2 and 4. A job's dispatches run
+ * one at a time, so host parallelism comes only from jobs running side
+ * by side: the sweep records jobs/s per count together with the host's
+ * core count and the longest single job (no count can drain the mix
+ * faster than that job runs), and every count must stay bit-identical
+ * to the dedicated engines (exit code 1 otherwise).
+ *
  * Output: a table on stdout plus BENCH_jobs.json in the working
  * directory. Regenerate the committed snapshot from the repo root with:
  *
@@ -27,8 +35,10 @@
  * (see EXPERIMENTS.md). Scale via DIGRAPH_BENCH_SCALE if needed.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -99,8 +109,8 @@ main()
     // session with the two-level scheduler active (preemption quantum +
     // co-scheduling) instead of the batch FIFO drain. ---
     // Quantum 16: coarse enough that plane cache residency survives a
-    // quantum on this single-core box, fine enough that preemption
-    // actually happens (the ctest suite covers quantum 1).
+    // quantum, fine enough that preemption actually happens (the ctest
+    // suite covers quantum 1).
     engine::ServiceConfig sconfig;
     sconfig.quantum_waves = 16;
     sconfig.co_schedule = true;
@@ -115,22 +125,54 @@ main()
     for (const auto &job : scheduled_results)
         scheduled_job_bytes += job.job_state_bytes;
 
-    // --- bit-identity: shared-substrate jobs match dedicated engines,
-    // and preempted scheduled runs match both. ---
-    bool identical = true;
-    for (std::size_t i = 0; i < job_specs.size(); ++i) {
-        const auto &a = shared_results[i].report;
-        const auto &b = naive_reports[i];
-        const auto &c = scheduled_results[i].report;
-        if (a.final_state != b.final_state ||
-            a.sim_cycles != b.sim_cycles ||
-            a.edge_processings != b.edge_processings ||
-            c.final_state != b.final_state ||
-            c.sim_cycles != b.sim_cycles ||
-            c.edge_processings != b.edge_processings) {
-            identical = false;
-        }
+    // --- bit-identity against the dedicated engines. ---
+    const auto matchesDedicated =
+        [&](const std::vector<engine::JobResult> &results) {
+            for (std::size_t i = 0; i < job_specs.size(); ++i) {
+                const auto &a = results[i].report;
+                const auto &b = naive_reports[i];
+                if (a.final_state != b.final_state ||
+                    a.sim_cycles != b.sim_cycles ||
+                    a.edge_processings != b.edge_processings)
+                    return false;
+            }
+            return true;
+        };
+    bool identical = matchesDedicated(shared_results) &&
+                     matchesDedicated(scheduled_results);
+
+    // --- session-threads sweep: the same 3 jobs through a batch-mode
+    // session holding 1, 2 or 4 of them at once. ---
+    struct SweepPoint
+    {
+        std::size_t session_threads;
+        double wall_seconds;
+        double longest_job_seconds;
+        std::size_t peak_running;
+        bool identical;
+    };
+    std::vector<SweepPoint> sweep;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        engine::ServiceConfig config;
+        config.session_threads = threads;
+        config.quantum_waves = 0; // batch: no preemption
+        WallTimer timer;
+        engine::GraphService session(g, manager.substrate(), opts,
+                                     config);
+        for (const auto &spec : job_specs)
+            session.addJobAsync(spec);
+        const auto results = session.drain();
+        const double wall = timer.seconds();
+        const bool same = matchesDedicated(results);
+        identical = identical && same;
+        double longest = 0.0;
+        for (const auto &job : results)
+            longest = std::max(longest, job.report.wall_seconds);
+        sweep.push_back({threads, wall, longest,
+                         session.stats().peak_running, same});
     }
+    const unsigned host_cores =
+        std::max(1u, std::thread::hardware_concurrency());
 
     const auto mb = [](std::size_t bytes) {
         return static_cast<double>(bytes) / 1e6;
@@ -176,6 +218,20 @@ main()
                 static_cast<unsigned long long>(
                     sched_stats.co_scheduled_grants),
                 sched_stats.peak_running);
+    bench::Table sweep_table(
+        "Session-threads sweep (3 jobs, batch mode, " +
+            std::to_string(host_cores) + " host cores)",
+        {"session_threads", "wall_s", "jobs_per_s", "longest_job_s",
+         "peak_running", "identical"});
+    for (const auto &pt : sweep) {
+        sweep_table.addRow({std::to_string(pt.session_threads),
+                            bench::Table::num(pt.wall_seconds),
+                            bench::Table::num(3.0 / pt.wall_seconds),
+                            bench::Table::num(pt.longest_job_seconds),
+                            std::to_string(pt.peak_running),
+                            pt.identical ? "yes" : "NO"});
+    }
+    sweep_table.print();
     std::printf("bit-identical to dedicated engines: %s\n",
                 identical ? "yes" : "NO");
 
@@ -235,6 +291,22 @@ main()
                  static_cast<unsigned long long>(
                      sched_stats.co_scheduled_grants),
                  sched_stats.peak_running);
+    std::fprintf(out, "  \"host_cores\": %u,\n", host_cores);
+    std::fprintf(out, "  \"session_threads_sweep\": [\n");
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        const auto &pt = sweep[i];
+        std::fprintf(out,
+                     "    {\"session_threads\": %zu, \"wall_seconds\": "
+                     "%.6f, \"jobs_per_second\": %.3f, "
+                     "\"longest_job_seconds\": %.6f, \"peak_running\": "
+                     "%zu, \"host_cores\": %u, \"bit_identical\": %s}%s\n",
+                     pt.session_threads, pt.wall_seconds,
+                     3.0 / pt.wall_seconds, pt.longest_job_seconds,
+                     pt.peak_running, host_cores,
+                     pt.identical ? "true" : "false",
+                     i + 1 < sweep.size() ? "," : "");
+    }
+    std::fprintf(out, "  ],\n");
     std::fprintf(out, "  \"bit_identical_to_single_job\": %s\n",
                  identical ? "true" : "false");
     std::fprintf(out, "}\n");

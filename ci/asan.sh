@@ -11,7 +11,7 @@
 # multi-ValuePlane lifecycle (per-job state allocated/freed around one
 # shared substrate, including engines destroyed after preempted runs).
 # test_multisource and test_factory_validation cover the K-wide lane
-# arrays (stripe indexing, lane overlays, delta-encoded refresh pulls)
+# arrays (stripe indexing, delta-encoded refresh pulls)
 # and the checked factory/CLI parsing paths. test_substrate_epochs and
 # the live-ingest smoke add the epoch chain: graphs and substrates
 # freed on retire while pinned queries still read older snapshots.

@@ -1,18 +1,17 @@
 #!/bin/sh
-# Perf smoke: guard the single-thread wave-engine throughput.
+# Perf smoke: guard the single-job wave-engine throughput.
 #
-# Builds host_engine_scaling in a dedicated Release tree (build-perf/),
-# runs it at a small workload scale, extracts the 1-thread wall-clock
-# of the delta-merge pagerank family from BENCH_engine.json, and
-# compares it against a locally recorded baseline: >10% slower fails.
-# The baseline is recorded on the first run (or whenever the smoke
-# scale changes) and ratcheted down when a run comes in faster, so the
-# check is self-calibrating per machine — no committed numbers, no
-# cross-host noise.
+# Builds concurrent_jobs in a dedicated Release tree (build-perf/), runs
+# it at a small workload scale, extracts the session_threads = 1 wall of
+# its session-threads sweep from BENCH_jobs.json (the 3 jobs drained one
+# at a time), and compares it against a locally recorded baseline: >10%
+# slower fails. The baseline file holds "bench scale wall"; it is
+# recorded on the first run or whenever the bench or the smoke scale
+# changes, and ratcheted down when a run comes in faster, so the check
+# is self-calibrating per machine — no committed numbers, no cross-host
+# noise, and a number from another bench is never compared.
 #
-# The bench's own >1.5x speedup gate (exit 2) is ignored here: at smoke
-# scale on arbitrary CI hosts it measures the container, not the code.
-# Determinism failures (exit 1) still fail the smoke.
+# A bit-identity failure (the bench's exit 1) fails the smoke.
 #
 # Usage (from the repo root):
 #     ci/perf_smoke.sh             # build + run + compare
@@ -33,53 +32,55 @@ fi
 
 cd "$(dirname "$0")/.."
 
+BENCH=concurrent_jobs
 SCALE="${DIGRAPH_PERF_SMOKE_SCALE:-0.05}"
 TOLERANCE="${DIGRAPH_PERF_SMOKE_TOLERANCE:-1.10}"
 
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-perf -j --target host_engine_scaling
+cmake --build build-perf -j --target "$BENCH"
 
 cd build-perf
-status=0
-DIGRAPH_BENCH_SCALE="$SCALE" ./bench/host_engine_scaling || status=$?
-if [ "$status" != 0 ] && [ "$status" != 2 ]; then
-    echo "perf_smoke: bench failed (status $status)" >&2
+if ! DIGRAPH_BENCH_SCALE="$SCALE" "./bench/$BENCH"; then
+    echo "perf_smoke: $BENCH failed" >&2
     exit 1
 fi
 
-# First result row of the first family (pagerank_delta, 1 thread).
-wall=$(awk -F'"wall_seconds": ' '/"engine_threads": 1,/ {
+# The session_threads = 1 point of the sweep.
+wall=$(awk -F'"wall_seconds": ' '/"session_threads": 1,/ {
            split($2, a, ","); print a[1]; exit
-       }' BENCH_engine.json)
+       }' BENCH_jobs.json)
 if [ -z "$wall" ]; then
-    echo "perf_smoke: could not read wall_seconds from BENCH_engine.json" >&2
+    echo "perf_smoke: could not read the 1-session-thread wall from" \
+         "BENCH_jobs.json" >&2
     exit 1
 fi
 
 baseline_file="perf_smoke_baseline.txt"
+base_bench=""
 base_scale=""
 base_wall=""
 if [ -f "$baseline_file" ]; then
-    read -r base_scale base_wall < "$baseline_file"
+    read -r base_bench base_scale base_wall < "$baseline_file" || true
 fi
-if [ "$base_scale" != "$SCALE" ] || [ -z "$base_wall" ]; then
-    printf '%s %s\n' "$SCALE" "$wall" > "$baseline_file"
-    echo "perf_smoke: recorded baseline ${wall}s (scale $SCALE)"
+if [ "$base_bench" != "$BENCH" ] || [ "$base_scale" != "$SCALE" ] ||
+   [ -z "$base_wall" ]; then
+    printf '%s %s %s\n' "$BENCH" "$SCALE" "$wall" > "$baseline_file"
+    echo "perf_smoke: recorded baseline ${wall}s ($BENCH, scale $SCALE)"
     exit 0
 fi
 
 regressed=$(awk -v w="$wall" -v b="$base_wall" -v t="$TOLERANCE" \
     'BEGIN { print (w > b * t) ? 1 : 0 }')
 if [ "$regressed" = 1 ]; then
-    echo "perf_smoke: FAIL — 1-thread wall ${wall}s exceeds baseline" \
-         "${base_wall}s by more than $TOLERANCE" >&2
+    echo "perf_smoke: FAIL — 1-session-thread wall ${wall}s exceeds" \
+         "baseline ${base_wall}s by more than $TOLERANCE" >&2
     exit 1
 fi
 
 improved=$(awk -v w="$wall" -v b="$base_wall" \
     'BEGIN { print (w < b) ? 1 : 0 }')
 if [ "$improved" = 1 ]; then
-    printf '%s %s\n' "$SCALE" "$wall" > "$baseline_file"
+    printf '%s %s %s\n' "$BENCH" "$SCALE" "$wall" > "$baseline_file"
     echo "perf_smoke: pass — ${wall}s (baseline ratcheted from ${base_wall}s)"
 else
     echo "perf_smoke: pass — ${wall}s (baseline ${base_wall}s)"

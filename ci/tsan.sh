@@ -1,22 +1,21 @@
 #!/bin/sh
-# Race-check the parallel wave execution engine under ThreadSanitizer.
+# Race-check the engine's host concurrency under ThreadSanitizer.
 #
 # Builds the repo in a dedicated tree (build-tsan/) with
-# -DDIGRAPH_SANITIZE=thread and runs the engine test binaries — the
-# parallel suite already exercises engine_threads in {2, 4} and the
-# hardware-concurrency path, test_job_manager races N whole jobs
-# against each other over one shared substrate, test_graph_service
-# races the inter-job scheduler (grants, wave-boundary preemption,
-# dynamic thread reallocation) against running engines,
-# test_wave_kernels drives the lock-free delta commit against its
-# ordered-replay oracle, test_multisource runs the K-wide lane
-# engine (lane delta commit, lane ordered replay, lane-precise
-# activation) at engine_threads {1, 2, 4}, and test_substrate_epochs
-# races live-graph update jobs (SubstrateCatalog::append deriving the
-# next epoch) against queries pinned to older epochs at session_threads
-# {1, 2, 4}, so any data race in the wave compute body / commitDeltas /
-# the barrier replay / the job pool / the epoch pin-retire lifecycle
-# shows up here.
+# -DDIGRAPH_SANITIZE=thread and runs the engine test binaries. A job's
+# own dispatches run one at a time on its thread; what still runs
+# concurrently is: GraphService job threads (test_graph_service races
+# the inter-job scheduler — grants, wave-boundary preemption — against
+# running engines, test_job_manager and bench_jobs_smoke race whole
+# jobs over one shared substrate, test_multisource runs lane jobs
+# through the service), substrate epochs (test_substrate_epochs and
+# bench_live_smoke race live-graph update jobs deriving the next epoch
+# against queries pinned to older ones, across the pin/retire
+# lifecycle), and the partition-preprocessing thread pools (path
+# decomposition and DAG-sketch contraction, exercised by
+# test_evolving_incremental's multi-threaded appends). The single-job
+# suites (test_engine_parallel/features/convergence, test_wave_kernels)
+# check that nothing in a run touches another thread's state.
 #
 # Usage (from the repo root):
 #     ci/tsan.sh               # configure + build + run

@@ -31,7 +31,6 @@ struct AdsorptionPolicy
 
     static constexpr bool kUsesWeight = false;
     static constexpr bool kUsesOutDegree = false;
-    static constexpr bool kAccumulative = true;
 
     bool
     processEdge(Value src, Value &edge_state, EdgeId edge_id, Value,

@@ -157,10 +157,7 @@ class Algorithm
  * with the same signatures (minus virtual) plus the compile-time flags
  *   static constexpr bool kUsesWeight;     // reads the weight argument
  *   static constexpr bool kUsesOutDegree;  // reads src_out_degree
- *   static constexpr bool kAccumulative;   // commutative-delta family
- * so dead argument loads compile out of the specialized inner loop and
- * the engine can route the accumulative family through the lock-free
- * delta merge.
+ * so dead argument loads compile out of the specialized inner loop.
  */
 template <class Policy>
 class PolicyAlgorithm : public Algorithm

@@ -52,7 +52,6 @@ struct HitsPolicy
 {
     static constexpr bool kUsesWeight = false;
     static constexpr bool kUsesOutDegree = false;
-    static constexpr bool kAccumulative = false;
 
     bool
     processEdge(Value, Value &, EdgeId, Value, std::uint32_t,

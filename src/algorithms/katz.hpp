@@ -25,7 +25,6 @@ struct KatzPolicy
 
     static constexpr bool kUsesWeight = false;
     static constexpr bool kUsesOutDegree = false;
-    static constexpr bool kAccumulative = true;
 
     bool
     processEdge(Value src, Value &edge_state, EdgeId, Value,

@@ -27,7 +27,6 @@ struct KCorePolicy
 
     static constexpr bool kUsesWeight = false;
     static constexpr bool kUsesOutDegree = false;
-    static constexpr bool kAccumulative = false;
 
     bool
     processEdge(Value src, Value &edge_state, EdgeId, Value,

@@ -28,7 +28,6 @@ struct PageRankPolicy
 
     static constexpr bool kUsesWeight = false;
     static constexpr bool kUsesOutDegree = true;
-    static constexpr bool kAccumulative = true;
 
     bool
     processEdge(Value src, Value &edge_state, EdgeId, Value,

@@ -21,7 +21,6 @@ struct SsspPolicy
 {
     static constexpr bool kUsesWeight = true;
     static constexpr bool kUsesOutDegree = false;
-    static constexpr bool kAccumulative = false;
 
     bool
     processEdge(Value src, Value &, EdgeId, Value weight, std::uint32_t,

@@ -22,7 +22,6 @@ struct WccPolicy
 {
     static constexpr bool kUsesWeight = false;
     static constexpr bool kUsesOutDegree = false;
-    static constexpr bool kAccumulative = false;
 
     bool
     processEdge(Value src, Value &, EdgeId, Value, std::uint32_t,

@@ -71,32 +71,4 @@ ThreadPool::parallelFor(std::size_t count,
         fut.get();
 }
 
-void
-ThreadPool::forEachIndex(std::size_t count,
-                         const std::function<void(std::size_t)> &fn)
-{
-    if (count == 0)
-        return;
-    if (count == 1 || size() == 1) {
-        for (std::size_t i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-    std::vector<std::future<void>> futures;
-    futures.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-        futures.push_back(submit([i, &fn] { fn(i); }));
-    std::exception_ptr first_error;
-    for (auto &fut : futures) {
-        try {
-            fut.get();
-        } catch (...) {
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-    }
-    if (first_error)
-        std::rethrow_exception(first_error);
-}
-
 } // namespace digraph

@@ -1,8 +1,8 @@
 /**
  * @file
  * A small fixed-size thread pool used by the parallel CPU preprocessing
- * stage (path decomposition, SCC contraction — Section 3.2.1) and by the
- * simulator's per-device drivers.
+ * stage (path decomposition, SCC contraction — Section 3.2.1), its only
+ * user.
  */
 
 #pragma once
@@ -63,16 +63,6 @@ class ThreadPool
      */
     void parallelFor(std::size_t count,
                      const std::function<void(std::size_t)> &fn);
-
-    /**
-     * Run fn(i) for every i in [0, count) with one task per index and act
-     * as a barrier: returns only when every call has finished. Meant for
-     * coarse-grained items of uneven size (e.g. partition dispatches of a
-     * wave), where per-index scheduling beats contiguous blocks. The first
-     * exception thrown by any task is rethrown after the barrier.
-     */
-    void forEachIndex(std::size_t count,
-                      const std::function<void(std::size_t)> &fn);
 
   private:
     void workerLoop();

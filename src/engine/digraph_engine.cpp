@@ -1,7 +1,6 @@
 #include "engine/digraph_engine.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/logging.hpp"
 #include "common/timer.hpp"
@@ -90,14 +89,6 @@ DiGraphEngine::DiGraphEngine(const graph::DirectedGraph &g,
 }
 
 std::size_t
-DiGraphEngine::engineThreads() const
-{
-    if (options_.engine_threads)
-        return options_.engine_threads;
-    return std::max(1u, std::thread::hardware_concurrency());
-}
-
-std::size_t
 DiGraphEngine::jobStateBytes() const
 {
     std::size_t bytes = plane_.memoryBytes();
@@ -120,7 +111,6 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
     WallTimer wall;
     AccumTimer schedule_timer;
     AccumTimer compute_timer;
-    AccumTimer merge_timer;
     AccumTimer barrier_timer;
     metrics::RunReport report;
     report.system = modeName(options_.mode);
@@ -128,14 +118,6 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
     report.num_gpus = transport_.platform().numDevices();
     report.num_partitions = pre_.numPartitions();
     report.preprocess_seconds = preprocessSeconds();
-
-    // The thread budget may be reallocated between waves by the
-    // inter-job scheduler (options_.wave_control); results never
-    // depend on it, so mid-run changes are safe.
-    std::size_t nthreads = engineThreads();
-    report.engine_threads = static_cast<std::uint32_t>(nthreads);
-    if (nthreads > 1 && (!pool_ || pool_->size() != nthreads))
-        pool_ = std::make_unique<ThreadPool>(nthreads);
 
     counters_.reset();
     trace_ = options_.trace;
@@ -169,15 +151,14 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
     report.value_lanes = lanes ? lanes : 1;
 
     // Resolve the wave kernel once per run: the compile-time body
-    // instantiation matching (algorithm policy, mode, tracing, merge
-    // strategy), or the generic fallback. The hot loop below calls one
-    // function pointer per dispatch — never a virtual per edge.
+    // instantiation matching (algorithm policy, mode, tracing), or the
+    // generic fallback. The hot loop below calls one function pointer
+    // per dispatch — never a virtual per edge.
     kernel_ = resolveWaveKernel(algo, options_, trace_ != nullptr, lanes);
     kernel_ctx_ = kernel_.policy ? kernel_.policy.get()
                                  : static_cast<const void *>(&algo);
     report.kernel = kernel_.name;
     report.kernel_specialized = kernel_.specialized;
-    report.kernel_delta_merge = kernel_.delta_merge;
 
     const PartitionId nparts = pre_.numPartitions();
     transport_.beginRun(options_, nparts, g_.numVertices(), &counters_);
@@ -222,28 +203,17 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
     // Main dependency-aware dispatch loop, organized in waves: within a
     // wave every active partition is dispatched at most once (the
     // batched-kernel granularity of a real GPU), in topological order of
-    // the DAG sketch. The wave batch is executed in chunks of mutually
-    // NON-INTERFERING partitions (no shared vertex), each in two phases:
-    //   1. compute (parallel): every chunk partition runs its local
-    //      rounds against chunk-start shared state, buffering master
-    //      merges privately (computeDispatch);
-    //   2. barrier (serial): outcomes are committed in dispatch order —
-    //      master merge replay, version bumps, activation fan-out, and
-    //      the simulated platform costs (replayDispatch).
-    // Vertex-disjoint dispatches are exactly order-independent, so a
-    // chunk's parallel execution does the same work as the serial
-    // engine; interfering partitions land in later chunks and see the
-    // committed results (the serial engine's fast intra-wave
-    // propagation). Chunk composition depends only on the batch and the
-    // static interference matrix — NOT the thread count — so results
-    // are identical for every engine_threads value.
+    // the DAG sketch, rearranged by Dispatcher::waveOrder() into greedy
+    // vertex-disjoint chunks. Each dispatch runs its local rounds
+    // (compute, merging pushes straight into the masters) and then its
+    // barrier (replayDispatch: version bumps, activation fan-out and the
+    // simulated platform costs) before the next dispatch starts, so
+    // later dispatches of the wave see everything earlier ones wrote.
     std::vector<std::uint64_t> wave_stamp(nparts, 0);
     std::uint64_t wave = 0;
     std::vector<PartitionId> batch;
-    std::vector<DispatchOutcome> outcomes;
     // Per-lane convergence: last wave at whose end the lane still had
-    // active slots (summed from the partition-sliced lane counters in
-    // the serial phase).
+    // active slots (summed from the partition-sliced lane counters).
     std::vector<std::uint64_t> lane_last_active(lanes, 0);
     for (;;) {
         ++wave;
@@ -277,13 +247,12 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
                 batch.push_back(p);
             }
         }
+        sched_.waveOrder(batch);
         schedule_timer.end();
         if (batch.empty())
             break;
 
         if (trace_) {
-            // Wave context for the compute-phase events: written here by
-            // the serial scheduler, read-only while workers run.
             trace_wave_ = wave;
             trace_wave_sim_ = transport_.platform().makespan();
             transport_.setTraceContext(trace_, trace_wave_,
@@ -293,66 +262,19 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
                           0.0, batch.size(), batch.front());
         }
 
-        std::vector<std::uint8_t> taken(batch.size(), 0);
-        std::vector<PartitionId> chunk;
-        std::size_t done = 0;
-        while (done < batch.size()) {
-            schedule_timer.begin();
-            sched_.nextChunk(batch, taken, chunk);
-            done += chunk.size();
+        for (const PartitionId p : batch) {
             if (ft_enabled_) {
-                // Journal the E_val slices this chunk may mutate —
-                // serially, before the parallel compute phase touches
-                // them (copy-on-write at the granularity the dispatch
-                // hands to a device).
-                for (const PartitionId cp : chunk)
-                    plane_.markPartitionDirty(cp);
+                // Journal the E_val slice this dispatch may mutate
+                // (copy-on-write at the granularity the dispatch hands
+                // to a device).
+                plane_.markPartitionDirty(p);
             }
-            schedule_timer.end();
-
             compute_timer.begin();
-            outcomes.assign(chunk.size(), {});
-            if (nthreads == 1 || chunk.size() == 1) {
-                for (std::size_t i = 0; i < chunk.size(); ++i)
-                    outcomes[i] =
-                        kernel_.compute(*this, chunk[i], kernel_ctx_);
-            } else {
-                pool_->forEachIndex(chunk.size(), [&](std::size_t i) {
-                    outcomes[i] =
-                        kernel_.compute(*this, chunk[i], kernel_ctx_);
-                });
-            }
+            DispatchOutcome outcome = kernel_.compute(*this, p, kernel_ctx_);
             compute_timer.end();
 
-            if (kernel_.delta_merge) {
-                // Lock-free commutative commit: the chunk's outcomes
-                // write vertex-disjoint master sets, so the overlays
-                // are stored concurrently without locks; the serial
-                // barrier below then only replays transport costs and
-                // activation fan-out.
-                merge_timer.begin();
-                if (nthreads == 1 || outcomes.size() == 1) {
-                    for (auto &outcome : outcomes) {
-                        if (lane_algo)
-                            commitLaneDeltas(outcome);
-                        else
-                            commitDeltas(outcome);
-                    }
-                } else {
-                    pool_->forEachIndex(
-                        outcomes.size(), [&](std::size_t i) {
-                            if (lane_algo)
-                                commitLaneDeltas(outcomes[i]);
-                            else
-                                commitDeltas(outcomes[i]);
-                        });
-                }
-                merge_timer.end();
-            }
-
             barrier_timer.begin();
-            for (auto &outcome : outcomes)
-                replayDispatch(outcome, report);
+            replayDispatch(outcome, report);
             barrier_timer.end();
         }
         if (lane_algo) {
@@ -379,16 +301,8 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
             // Wave boundary: everything is committed and nothing is in
             // flight, so the run can park here indefinitely (the
             // ValuePlane is the job's state) and resume bit-identical.
-            // The hook returns next wave's thread budget.
-            const std::size_t granted =
-                options_.wave_control->onWaveBoundary(
-                    wave, plane_.partition_active);
-            if (granted && granted != nthreads) {
-                nthreads = granted;
-                if (nthreads > 1 &&
-                    (!pool_ || pool_->size() != nthreads))
-                    pool_ = std::make_unique<ThreadPool>(nthreads);
-            }
+            options_.wave_control->onWaveBoundary(wave,
+                                                  plane_.partition_active);
         }
     }
     if (options_.verify_invariants) {
@@ -436,7 +350,6 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
     report.wall_seconds = wall.seconds();
     report.wall_compute_seconds = compute_timer.seconds();
     report.wall_barrier_seconds = barrier_timer.seconds();
-    report.wall_merge_seconds = merge_timer.seconds();
     report.wall_schedule_seconds = schedule_timer.seconds();
     return report;
 }

@@ -26,25 +26,20 @@
  * from a round-start snapshot and new flags are applied at round end, so
  * state crosses one hop per round, as in traditional async engines.
  *
- * Host execution model (see DESIGN.md "Host execution model"): the
- * partitions dispatched in one wave run *concurrently* on host worker
- * threads. Each dispatch reads only wave-start shared state (masters,
- * versions) plus its own partition-sliced state, buffers its master
- * merges in a private overlay, and emits a DispatchOutcome; at the wave
- * barrier the outcomes are committed serially in dispatch order (master
- * merge replay, version bumps, activation fan-out, simulated platform
- * costs), so results are bit-identical for every engine_threads value.
+ * Host execution model (see DESIGN.md "Host execution model"): a
+ * job's dispatches run one at a time on the thread that called run().
+ * Each wave's partitions run in Dispatcher::waveOrder(); a dispatch
+ * merges its mirror pushes straight into the masters and emits a
+ * DispatchOutcome, and its barrier (version bumps, activation fan-out,
+ * simulated platform costs) runs before the next dispatch starts. Host
+ * parallelism lives across jobs (GraphService), not inside one.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <utility>
 #include <vector>
-
-#include "common/thread_pool.hpp"
 
 #include "algorithms/algorithm.hpp"
 #include "engine/options.hpp"
@@ -65,8 +60,8 @@ namespace digraph::engine {
 struct WaveKernels;
 
 /**
- * Everything one partition dispatch produces during the parallel
- * compute phase of a wave, committed at the wave barrier.
+ * Everything one partition dispatch's compute phase hands to its
+ * barrier (DiGraphEngine::replayDispatch).
  */
 struct DispatchOutcome
 {
@@ -82,38 +77,16 @@ struct DispatchOutcome
     std::vector<std::uint64_t> stale_lanes;
     /** Per local round, per work-stealing group: kernel cycles. */
     std::vector<std::vector<double>> round_group_cycles;
-    /** Master push log in generation order (replayed via
-     *  Algorithm::mergeMaster against the true masters). Left empty by
-     *  delta-merge kernels, which commit the overlay directly. */
-    std::vector<std::pair<VertexId, Value>> pushes;
-    /** Privately merged master values (wave-start master + own
-     *  pushes); the barrier compares these against the committed
-     *  masters to decide whether this partition's own mirrors went
-     *  stale (another wave member also pushed the vertex). Under the
-     *  delta merge this IS what gets committed. */
-    std::unordered_map<VertexId, Value> overlay;
-    /** Activation-worthy master changes accumulated across the local
-     *  rounds (sorted/deduplicated; delta-merge kernels only — the
-     *  ordered replay recomputes this from the push log). */
+    /** Masters whose merge reported an activation-worthy change,
+     *  accumulated across the local rounds (sorted/deduplicated). */
     std::vector<VertexId> changed;
     /** Lane runs: per changed vertex, the mask of lanes whose master
-     *  changed (parallel to the fan-out's changed list; filled by the
-     *  lane delta accumulation AND by the ordered lane replay). */
+     *  changed (parallel to changed). */
     std::vector<std::uint64_t> changed_lanes;
-    /** Lane-mode twin of `overlay`: K-wide stripes per touched master
-     *  (unused on scalar runs). */
-    LaneOverlay lane_overlay;
-    /** Lane-mode twin of `pushes`: (vertex, lane, push) in generation
-     *  order. */
-    std::vector<LanePush> lane_pushes;
-    /** Mirror pushes performed (= pushes.size() when the log is kept;
-     *  still counted when it is not). */
+    /** Mirror pushes merged into masters. */
     std::uint64_t push_count = 0;
     /** Partition hit max_local_rounds; redispatch it. */
     bool reactivate_self = false;
-    /** Global-load bytes that could not be accounted during compute
-     *  (partition had no resident device at wave start). */
-    std::uint64_t deferred_load_bytes = 0;
     // Work counters merged into the report at the barrier.
     std::uint64_t edge_processings = 0;
     std::uint64_t vertex_updates = 0;
@@ -186,20 +159,10 @@ class DiGraphEngine
 
     /** Attach (or detach, with nullptr) a wave-boundary scheduling
      *  hook for subsequent run() calls (see engine/wave_control.hpp).
-     *  Parking at a boundary and thread reallocation never change
-     *  results. */
+     *  Parking at a boundary never changes results. */
     void setWaveControl(WaveControl *hook)
     {
         options_.wave_control = hook;
-    }
-
-    /** Override the worker-thread budget for subsequent run() calls
-     *  (0 = hardware concurrency). The inter-job scheduler sets a
-     *  job's initial allocation here; mid-run changes flow through
-     *  WaveControl::onWaveBoundary(). Never changes results. */
-    void setEngineThreads(std::size_t threads)
-    {
-        options_.engine_threads = threads;
     }
 
     /** Counter totals of the most recent run (always equal to the
@@ -238,9 +201,6 @@ class DiGraphEngine
     {
         return plane_.bookkeepingConsistent(pre_);
     }
-
-    /** Worker threads run() will use (resolves engine_threads == 0). */
-    std::size_t engineThreads() const;
 
     /** Host bytes of this job's private state (ValuePlane + transport
      *  bookkeeping) — what one extra concurrent job costs on a shared
@@ -300,25 +260,15 @@ class DiGraphEngine
      *  the generic fallback — see wave_body.hpp). */
     friend struct WaveKernels;
 
-    /** Commit one outcome's buffered master merges at the wave barrier
-     *  per the resolved kernel: ordered push replay (bitwise family /
-     *  fallback) happens here; under the delta merge the values were
-     *  already stored by commitDeltas() and only the bookkeeping
-     *  (checkpoint journal, version bumps, fan-out) runs. */
-    void replayDispatch(DispatchOutcome &outcome,
+    /** The barrier of one dispatch, run right after its compute phase:
+     *  work counters, simulated transport and kernel costs, version
+     *  bumps of the changed masters, and the activation fan-out. The
+     *  masters themselves were already merged in place. */
+    void replayDispatch(const DispatchOutcome &outcome,
                         metrics::RunReport &report);
 
-    /** Lock-free parallel commit of a delta-merge outcome: store the
-     *  overlay values into the masters. Race-free without locks because
-     *  the chunk's partitions are vertex-disjoint by construction. */
-    void commitDeltas(DispatchOutcome &outcome);
-
-    /** Lane-mode commitDeltas(): stores the K-wide overlay stripes into
-     *  the lane masters (same vertex-disjointness argument). */
-    void commitLaneDeltas(DispatchOutcome &outcome);
-
     // --- fault tolerance (implemented in fault_recovery.cpp; all
-    // methods are serial-phase only — see DESIGN.md §10) ---
+    // methods run between dispatches — see DESIGN.md §10) ---
 
     /** Take the epoch-0 checkpoint (full V_val + E_val copy) and reset
      *  the recovery budget. Called from run() after storage
@@ -356,16 +306,14 @@ class DiGraphEngine
     ValuePlane plane_;
     /** This job's platform/transfer state. */
     Transport transport_;
-    /** Typed counters of the current run (mutated only by the serial
-     *  scheduler/barrier thread; exported into the RunReport at run
-     *  end). */
+    /** Typed counters of the current run (exported into the
+     *  RunReport at run end). */
     metrics::CounterRegistry counters_;
     /** Trace sink of the current run (= options_.trace; nullptr when
      *  tracing is disabled). */
     metrics::TraceSink *trace_ = nullptr;
-    /** Wave context for compute-phase trace events (written by the
-     *  serial scheduler before the parallel phase, read-only during
-     *  it). */
+    /** Wave context for compute-phase trace events (set at each wave
+     *  start). */
     std::uint64_t trace_wave_ = 0;
     double trace_wave_sim_ = 0.0;
     std::vector<std::uint32_t> partition_process_count_;
@@ -406,9 +354,6 @@ class DiGraphEngine
     /** pollFaults scratch. */
     std::vector<DeviceId> due_loss_;
     std::vector<gpusim::SmxStallFault> due_stalls_;
-
-    /** Host workers for the wave compute phase (created on first use). */
-    std::unique_ptr<ThreadPool> pool_;
 };
 
 } // namespace digraph::engine

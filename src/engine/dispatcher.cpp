@@ -22,12 +22,11 @@ Dispatcher::build(const partition::Preprocessed &pre,
     const PartitionId nparts = pre.numPartitions();
     nparts_ = nparts;
 
-    // Partition-interference matrix: partitions sharing any vertex must
-    // not run concurrently (a dispatch could consume the other's stale
-    // master and redo the propagation after the merge). Vertices
-    // mirrored by more partitions than the cap are hubs: their
-    // partitions are flagged as interfering with everything, which
-    // bounds the build at kHubFanoutCap * mirror entries.
+    // Partition-interference matrix: partitions sharing any vertex never
+    // share a waveOrder() chunk. Vertices mirrored by more partitions
+    // than the cap are hubs: their partitions are flagged as interfering
+    // with everything, which bounds the build at kHubFanoutCap * mirror
+    // entries.
     constexpr std::uint64_t kHubFanoutCap = 32;
     interference_.assign(static_cast<std::size_t>(nparts) * nparts, 0);
     interferes_all_.assign(nparts, 0);
@@ -207,31 +206,37 @@ Dispatcher::choosePartition(
 }
 
 void
-Dispatcher::nextChunk(const std::vector<PartitionId> &batch,
-                      std::vector<std::uint8_t> &taken,
-                      std::vector<PartitionId> &chunk) const
+Dispatcher::waveOrder(std::vector<PartitionId> &batch) const
 {
-    chunk.clear();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (taken[i])
-            continue;
-        const PartitionId p = batch[i];
-        const bool compatible =
-            chunk.empty() ||
-            (!interferes_all_[p] &&
-             std::none_of(chunk.begin(), chunk.end(),
-                          [&](PartitionId m) {
-                              return interferes_all_[m] ||
-                                     interference_
-                                         [static_cast<std::size_t>(p) *
-                                              nparts_ +
-                                          m];
-                          }));
-        if (!compatible)
-            continue;
-        chunk.push_back(p);
-        taken[i] = 1;
+    std::vector<PartitionId> order;
+    order.reserve(batch.size());
+    std::vector<std::uint8_t> taken(batch.size(), 0);
+    while (order.size() < batch.size()) {
+        const std::size_t chunk_begin = order.size();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            if (taken[i])
+                continue;
+            const PartitionId p = batch[i];
+            const bool compatible =
+                order.size() == chunk_begin ||
+                (!interferes_all_[p] &&
+                 std::none_of(
+                     order.begin() +
+                         static_cast<std::ptrdiff_t>(chunk_begin),
+                     order.end(), [&](PartitionId m) {
+                         return interferes_all_[m] ||
+                                interference_[static_cast<std::size_t>(
+                                                  p) *
+                                                  nparts_ +
+                                              m];
+                     }));
+            if (!compatible)
+                continue;
+            order.push_back(p);
+            taken[i] = 1;
+        }
     }
+    batch.swap(order);
 }
 
 void

@@ -4,9 +4,9 @@
  * immutable partition-dependency structures (precursor lists, the
  * interference matrix, partition SCC groups and their condensed DAG)
  * plus the scheduling policies that consume them — upstream-quiescence
- * readiness, topological/in-advance partition selection, greedy
- * non-interfering chunking, Pri(p) path priority ordering, and the
- * lane-binning work-stealing cost model.
+ * readiness, topological/in-advance partition selection, the wave
+ * dispatch order, Pri(p) path priority ordering, and the lane-binning
+ * work-stealing cost model.
  *
  * Like ReplicaSync, a Dispatcher is built once per preprocessing result
  * and is read-only afterwards (shareable across concurrent jobs); all
@@ -61,14 +61,15 @@ class Dispatcher
                     bool dag_dispatch) const;
 
     /**
-     * Greedy independent-set chunk of @p batch in batch (priority)
-     * order: the first remaining partition always enters, later ones
-     * only if vertex-disjoint from every current member. Marks members
-     * in @p taken and fills @p chunk (cleared first).
+     * Reorder @p batch into the wave's dispatch order: the
+     * concatenation of greedy vertex-disjoint chunks taken in batch
+     * (priority) order — the first remaining partition always opens a
+     * chunk, a later one joins only if it shares no vertex with any
+     * member. The dispatches then run one at a time in this order.
+     * It differs from batch order only when a chunk holds two or more
+     * partitions; the order is paper-facing (DESIGN.md §6).
      */
-    void nextChunk(const std::vector<PartitionId> &batch,
-                   std::vector<std::uint8_t> &taken,
-                   std::vector<PartitionId> &chunk) const;
+    void waveOrder(std::vector<PartitionId> &batch) const;
 
     /**
      * Path scheduling (Section 3.2.3): stable-sort @p active_paths by
@@ -135,9 +136,7 @@ class Dispatcher
     std::vector<std::vector<PartitionId>> precursor_parts_;
     /** Symmetric partition-interference matrix (nparts x nparts, row
      *  major): set when two partitions mirror a common vertex. Only
-     *  mutually non-interfering partitions are dispatched concurrently —
-     *  their dispatches are then exactly order-independent, so the
-     *  parallel wave does the same work the serial engine would. */
+     *  mutually non-interfering partitions share a waveOrder() chunk. */
     std::vector<std::uint8_t> interference_;
     /** Partitions mirroring a very-high-fanout (hub) vertex; treated as
      *  interfering with everything (keeps the matrix build O(fanout

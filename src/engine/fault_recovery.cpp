@@ -6,11 +6,9 @@
  * device loss, and the post-run invariant checker. (The transfer
  * retry/backoff path lives in the Transport layer.)
  *
- * Every method here runs in a *serial* engine phase (wave start, the
- * dispatch-replay barrier, or wave end): the injector's coin stream is
- * ordered, and the checkpoint journals are shared state. Keeping all
- * fault decisions out of the parallel compute phase is what preserves
- * bit-identical results across engine_threads values even under faults.
+ * Every method here runs between dispatches (wave start, a dispatch
+ * barrier, or wave end), never inside a dispatch's local rounds, so
+ * the injector's coin stream follows the dispatch order.
  */
 
 #include "engine/digraph_engine.hpp"

@@ -35,13 +35,10 @@ isUpdateSpec(const std::string &spec)
 namespace {
 
 std::size_t
-resolveSessionThreads(const ServiceConfig &config,
-                      const EngineOptions &options)
+resolveSessionThreads(const ServiceConfig &config)
 {
     if (config.session_threads)
         return config.session_threads;
-    if (options.engine_threads)
-        return options.engine_threads;
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
@@ -102,8 +99,7 @@ GraphService::GraphService(std::unique_ptr<SubstrateCatalog> catalog,
 void
 GraphService::finishInit()
 {
-    policy_.session_threads = resolveSessionThreads(config_, options_);
-    policy_.max_running_jobs = config_.max_running_jobs;
+    policy_.session_threads = resolveSessionThreads(config_);
     policy_.state_budget_bytes = config_.state_budget_bytes;
     policy_.tenant_quota = config_.tenant_quota;
     policy_.co_schedule = config_.co_schedule;
@@ -166,17 +162,6 @@ GraphService::traceEvent(metrics::TraceEventType type,
                              /*sim_begin=*/0.0, /*sim_dur=*/0.0, arg0,
                              arg1);
     }
-}
-
-std::size_t
-GraphService::freeThreads() const
-{
-    std::size_t held = 0;
-    for (const JobId id : active_)
-        held += jobs_[id]->thread_grant;
-    return policy_.session_threads > held
-               ? policy_.session_threads - held
-               : 0;
 }
 
 bool
@@ -257,7 +242,6 @@ GraphService::reschedule()
             snap.running_worklists.push_back(&jobs_[id]->worklist);
     }
     snap.running_jobs = active_.size();
-    snap.free_threads = freeThreads();
     snap.charged_bytes = charged_bytes_;
     snap.tenant_started = tenant_started_;
 
@@ -265,7 +249,6 @@ GraphService::reschedule()
     for (const auto &grant : grants) {
         Job &job = *jobs_[grant.id];
         job.granted = true;
-        job.thread_grant = grant.threads;
         job.waves_in_quantum = 0;
         if (!job.started) {
             job.started = true;
@@ -292,7 +275,7 @@ GraphService::reschedule()
         stats_.peak_running =
             std::max(stats_.peak_running, active_.size());
         traceEvent(metrics::TraceEventType::JobGrant, job.id,
-                   job.thread_grant);
+                   grant.co_scheduled ? 1 : 0);
     }
     if (!grants.empty())
         cv_.notify_all();
@@ -357,12 +340,8 @@ GraphService::addJobAsync(const JobRequest &request)
         ++stats_.rejected;
         return id;
     }
-    const std::size_t slot_cap =
-        std::min(policy_.max_running_jobs ? policy_.max_running_jobs
-                                          : policy_.session_threads,
-                 policy_.session_threads);
     const bool can_start_now =
-        active_.size() < slot_cap &&
+        active_.size() < policy_.session_threads &&
         (!job.is_update || !update_running_) &&
         (!policy_.state_budget_bytes ||
          charged_bytes_ + job.estimate_bytes <=
@@ -459,7 +438,6 @@ GraphService::runQuery(Job *job, std::unique_lock<std::mutex> &lock)
         spare_engine_.reset();
         spare_pin_.release();
     }
-    const std::size_t initial_threads = job->thread_grant;
     lock.unlock();
     if (!engine) {
         engine = std::make_unique<DiGraphEngine>(
@@ -471,7 +449,6 @@ GraphService::runQuery(Job *job, std::unique_lock<std::mutex> &lock)
     job->algo = algorithms::makeAlgorithmSpec(job->request.spec,
                                               job->pin.graph());
     engine->setWaveControl(job);
-    engine->setEngineThreads(initial_threads);
     if (config_.with_traces) {
         job->result.trace = std::make_shared<metrics::TraceSink>();
         engine->setTrace(job->result.trace.get());
@@ -513,14 +490,14 @@ GraphService::runUpdate(Job *job, std::unique_lock<std::mutex> &lock)
     lock.lock();
 }
 
-std::size_t
+void
 GraphService::Job::onWaveBoundary(
     std::uint64_t /*wave*/, const std::vector<std::uint8_t> &active)
 {
-    return service->waveBoundary(*this, active);
+    service->waveBoundary(*this, active);
 }
 
-std::size_t
+void
 GraphService::waveBoundary(Job &job,
                            const std::vector<std::uint8_t> &active)
 {
@@ -550,14 +527,6 @@ GraphService::waveBoundary(Job &job,
         }
         job.waves_in_quantum = 0;
     }
-    // Dynamic thread allocation: adopt the fair share of the session
-    // budget for the current active-set membership.
-    const auto rank = static_cast<std::size_t>(
-        std::find(active_.begin(), active_.end(), job.id) -
-        active_.begin());
-    job.thread_grant =
-        fairThreadShare(policy_, rank, active_.size());
-    return job.thread_grant;
 }
 
 JobStatus

@@ -17,12 +17,9 @@
  *  - per-tenant quotas on started (running or parked) jobs;
  *  - priority queues with FIFO age inside each class;
  *  - preemption at wave boundaries: a running engine parks right after
- *    its merge barrier via the WaveControl hook. Nothing is
- *    snapshotted — the job's ValuePlane IS its suspended state — and a
- *    resumed run is bit-identical to an uninterrupted one;
- *  - dynamic thread allocation: the session's worker-thread budget is
- *    divided fairly across running jobs and rebalanced at every wave
- *    boundary (replacing JobManager's old all-or-one split);
+ *    its wave's last dispatch barrier via the WaveControl hook. Nothing
+ *    is snapshotted — the job's ValuePlane IS its suspended state — and
+ *    a resumed run is bit-identical to an uninterrupted one;
  *  - co-scheduling: within a priority class the scheduler prefers jobs
  *    whose partition worklists overlap what is already running, so
  *    concurrent jobs share substrate *cache residency*, not just
@@ -40,10 +37,13 @@
  * disk as a topology version chained to its parent, so a killed session
  * restarts on the latest committed epoch and replays pending jobs.
  *
- * Every admitted job runs on its own host thread; all scheduling
- * decisions are serialized under one session mutex, and the engine's
- * thread-count/park independence guarantees make results identical to
- * dedicated single-job runs regardless of the schedule.
+ * Every admitted job runs on its own host thread, and at most
+ * session_threads of them hold an execution slot at once: this is the
+ * session's host parallelism (a job's own dispatches run one at a
+ * time). All scheduling decisions are serialized under one session
+ * mutex; jobs share no mutable state and parking never changes a run,
+ * so results are identical to dedicated single-job runs regardless of
+ * the schedule.
  */
 
 #pragma once
@@ -151,11 +151,9 @@ struct JobResult
 /** Session configuration (0 = default / unlimited throughout). */
 struct ServiceConfig
 {
-    /** Session worker-thread budget divided across running jobs;
-     *  0 = EngineOptions::engine_threads (0 there = hardware). */
+    /** Session threads: jobs that may run at once, one host thread
+     *  each; 0 = hardware concurrency. */
     std::size_t session_threads = 0;
-    /** Concurrent execution slots; 0 = one per session thread. */
-    std::size_t max_running_jobs = 0;
     /** In-flight job-state byte budget (admission control); 0 = off. */
     std::size_t state_budget_bytes = 0;
     /** Admitted-but-never-started jobs tolerated while the byte budget
@@ -315,7 +313,7 @@ class GraphService
         return catalog_->currentEpoch();
     }
 
-    /** Resolved session worker-thread budget. */
+    /** Resolved session thread count. */
     std::size_t sessionThreads() const
     {
         return policy_.session_threads;
@@ -362,13 +360,12 @@ class GraphService
         /** Bytes to charge when started (queries: the plane estimate;
          *  updates: the batch bytes). */
         std::size_t estimate_bytes = 0;
-        std::size_t thread_grant = 1;
         std::uint64_t waves_in_quantum = 0;
         /** Worklist flags at the last wave boundary. */
         std::vector<std::uint8_t> worklist;
         std::thread thread;
 
-        std::size_t
+        void
         onWaveBoundary(std::uint64_t wave,
                        const std::vector<std::uint8_t> &active) override;
     };
@@ -390,8 +387,7 @@ class GraphService
     void runUpdate(Job *job, std::unique_lock<std::mutex> &lock);
 
     /** Engine-hook body (locks the session mutex). */
-    std::size_t waveBoundary(Job &job,
-                             const std::vector<std::uint8_t> &active);
+    void waveBoundary(Job &job, const std::vector<std::uint8_t> &active);
 
     /** Fill free slots from the waiting set (mutex held). */
     void reschedule();
@@ -399,10 +395,6 @@ class GraphService
     /** True when some waiting job could take a freed slot — the park
      *  predicate (mutex held). */
     bool schedulableWaiting() const;
-
-    /** Session threads minus what granted jobs currently hold
-     *  (mutex held). */
-    std::size_t freeThreads() const;
 
     /** Dense tenant index, interning new names (mutex held). */
     std::uint32_t internTenant(const std::string &name);
@@ -424,7 +416,7 @@ class GraphService
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::vector<std::unique_ptr<Job>> jobs_;
-    /** Granted jobs in grant order (rank = fair-share position). */
+    /** Granted jobs in grant order. */
     std::vector<JobId> active_;
     std::vector<std::string> tenants_;
     std::vector<std::uint32_t> tenant_started_;

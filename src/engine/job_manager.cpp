@@ -69,9 +69,8 @@ JobManager::runAll(bool with_traces)
         return {};
 
     // Batch mode: no preemption quantum, no quotas or budgets — every
-    // job runs to convergence under the service's fair thread split
-    // (the session budget divided across in-flight jobs, rebalanced at
-    // wave boundaries as jobs finish).
+    // job runs to convergence once it holds one of the session's slots
+    // (one per hardware thread).
     ServiceConfig config;
     config.quantum_waves = 0;
     config.with_traces = with_traces;

@@ -10,12 +10,10 @@
  *
  * Since the GraphService daemon (DESIGN.md §15) this is a thin batch
  * front-end: runAll() opens a service session in batch mode (no
- * preemption, no quotas), submits every queued spec, and drains. The
- * session's thread budget is divided fairly across in-flight jobs —
- * two jobs on an 8-thread session get 4 threads each, not 1 each —
- * and shrinking shares rebalance as jobs finish. Jobs are mutually
- * isolated (no shared mutable state), so results stay bit-identical to
- * dedicated single-job runs, in any order, at any thread count.
+ * preemption, no quotas), submits every queued spec, and drains. Up to
+ * one job per hardware thread runs at once, each on its own thread.
+ * Jobs are mutually isolated (no shared mutable state), so results stay
+ * bit-identical to dedicated single-job runs, in any order.
  */
 
 #pragma once

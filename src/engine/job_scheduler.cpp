@@ -47,28 +47,14 @@ mergeWorklist(std::vector<std::uint8_t> &granted_union,
 
 } // namespace
 
-std::size_t
-fairThreadShare(const SchedulerPolicy &policy, std::size_t rank,
-                std::size_t running)
-{
-    if (running == 0)
-        return policy.session_threads;
-    const std::size_t base = policy.session_threads / running;
-    const std::size_t extra = policy.session_threads % running;
-    return std::max<std::size_t>(1, base + (rank < extra ? 1 : 0));
-}
-
 std::vector<SchedGrant>
 scheduleJobs(const SchedulerPolicy &policy, const SchedSnapshot &snap)
 {
     std::vector<SchedGrant> grants;
-    const std::size_t slot_cap =
-        std::min(policy.max_running_jobs ? policy.max_running_jobs
-                                         : policy.session_threads,
-                 policy.session_threads);
-    if (snap.running_jobs >= slot_cap || snap.waiting.empty())
+    if (snap.running_jobs >= policy.session_threads ||
+        snap.waiting.empty())
         return grants;
-    std::size_t slots = slot_cap - snap.running_jobs;
+    std::size_t slots = policy.session_threads - snap.running_jobs;
 
     std::vector<SchedJob> ranked = snap.waiting;
     std::sort(ranked.begin(), ranked.end(), ranksBefore);
@@ -140,22 +126,8 @@ scheduleJobs(const SchedulerPolicy &policy, const SchedSnapshot &snap)
                 ++tenant_started[j.tenant];
         }
         mergeWorklist(granted_union, j.worklist);
-        grants.push_back({j.id, 1, co_scheduled});
+        grants.push_back({j.id, co_scheduled});
         --slots;
-    }
-
-    // Divide the free threads across the new grants; every grant gets
-    // at least 1 even when free_threads is exhausted (running jobs
-    // shed their surplus at the next wave boundary, so the
-    // oversubscription is transient and bounded by one grant round).
-    if (!grants.empty()) {
-        const std::size_t k = grants.size();
-        const std::size_t base = snap.free_threads / k;
-        const std::size_t extra = snap.free_threads % k;
-        for (std::size_t i = 0; i < k; ++i) {
-            grants[i].threads =
-                std::max<std::size_t>(1, base + (i < extra ? 1 : 0));
-        }
     }
     return grants;
 }

@@ -4,8 +4,8 @@
  * (DESIGN.md §15). Level 2 is the engine's intra-job path scheduling
  * (Dispatcher::orderByPriority, Section 3.2.3 of the paper); this
  * level decides, at every scheduling event of a GraphService session,
- * WHICH jobs occupy the session's execution slots and HOW the session
- * thread budget is divided among them.
+ * WHICH jobs occupy the session's execution slots. Each granted job
+ * runs on its own host thread.
  *
  * The policy is a pure function of an explicit snapshot: no clocks, no
  * randomness, no hidden state — the same snapshot always yields the
@@ -39,11 +39,9 @@ namespace digraph::engine {
  *  user-facing defaults). */
 struct SchedulerPolicy
 {
-    /** Session worker-thread budget, divided across granted jobs. */
+    /** Execution slots: at most this many jobs run at once, one
+     *  session thread each. */
     std::size_t session_threads = 1;
-    /** Execution slots (concurrently running jobs); 0 = one per
-     *  session thread. */
-    std::size_t max_running_jobs = 0;
     /** In-flight job-state byte budget (admission control); 0 = off. */
     std::size_t state_budget_bytes = 0;
     /** Max started (running or parked) jobs per tenant; 0 = off. */
@@ -79,21 +77,16 @@ struct SchedSnapshot
     std::vector<const std::vector<std::uint8_t> *> running_worklists;
     /** Currently granted jobs (occupying slots). */
     std::size_t running_jobs = 0;
-    /** Unallocated session threads right now. Grants may exceed it by
-     *  at most 1 thread per job (running jobs shed surplus at their
-     *  next wave boundary). */
-    std::size_t free_threads = 0;
     /** Bytes charged by started, unfinished jobs. */
     std::size_t charged_bytes = 0;
     /** Started, unfinished jobs per dense tenant index. */
     std::vector<std::uint32_t> tenant_started;
 };
 
-/** One scheduling decision: run job @p id with @p threads workers. */
+/** One scheduling decision: run job @p id. */
 struct SchedGrant
 {
     std::uint64_t id = 0;
-    std::size_t threads = 1;
     /** Chosen by worklist overlap rather than plain rank order. */
     bool co_scheduled = false;
 };
@@ -105,15 +98,5 @@ struct SchedGrant
  */
 std::vector<SchedGrant> scheduleJobs(const SchedulerPolicy &policy,
                                      const SchedSnapshot &snap);
-
-/**
- * Fair thread share of the job at @p rank among @p running granted
- * jobs: session_threads / running, the first (session_threads %
- * running) ranks getting one extra, never below 1. Running jobs adopt
- * their share at each wave boundary, so allocations converge to fair
- * within one wave of any membership change.
- */
-std::size_t fairThreadShare(const SchedulerPolicy &policy,
-                            std::size_t rank, std::size_t running);
 
 } // namespace digraph::engine

@@ -66,34 +66,17 @@ struct EngineOptions
     bool dag_dispatch = true;
     /** Cap on partition-local iteration rounds per dispatch. */
     std::size_t max_local_rounds = 64;
-    /** Host worker threads executing the partitions of a dispatch wave
-     *  concurrently; 0 means hardware_concurrency(), 1 runs the wave
-     *  inline on the calling thread. Results (final state, simulated
-     *  cycles, traffic counters) are identical for every value — the
-     *  wave-snapshot execution model commits all shared-state changes at
-     *  a barrier in dispatch order. */
-    std::size_t engine_threads = 0;
     /** Activate every vertex initially (Fig 2 methodology) regardless of
      *  the algorithm's initActive(). */
     bool force_all_active = false;
-    /** Commit the delta-accumulative algorithm family (pagerank, katz,
-     *  adsorption — commutative mergeMaster) through the lock-free
-     *  parallel overlay commit at the wave barrier instead of the
-     *  ordered serial push replay. Results are identical either way
-     *  (wave chunks are vertex-disjoint, so the overlay value IS the
-     *  replay result); off forces the ordered-replay oracle, which the
-     *  equivalence tests compare against. Ignored by the bitwise
-     *  family (sssp/bfs/wcc/kcore), which always replays in order. */
-    bool delta_merge = true;
     /** Structured trace sink; nullptr disables tracing (every
      *  instrumentation point reduces to one null check — see
      *  src/metrics/trace.hpp). Tracing never changes results. */
     metrics::TraceSink *trace = nullptr;
     /** Wave-boundary scheduling hook (see engine/wave_control.hpp):
-     *  consulted after every wave's merge barrier; may block the run
-     *  (cooperative preemption) and reallocate the worker-thread
-     *  budget. nullptr (default) runs to convergence uninterrupted.
-     *  Yielding and thread reallocation never change results. */
+     *  consulted after every wave's last barrier; may block the run
+     *  (cooperative preemption). nullptr (default) runs to
+     *  convergence uninterrupted. Yielding never changes results. */
     WaveControl *wave_control = nullptr;
 
     // --- fault tolerance (see DESIGN.md "Fault model and recovery") ---

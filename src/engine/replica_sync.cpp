@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/replica_sync_impl.hpp"
 #include "engine/value_plane.hpp"
 
 namespace digraph::engine {
@@ -127,49 +126,16 @@ ReplicaSync::convertStaleQueue(ValuePlane &plane, PartitionId p,
     queue.clear();
 }
 
-PushStats
-ReplicaSync::pushDirtyMirrors(
-    ValuePlane &plane, PartitionId p, const algorithms::Algorithm &algo,
-    const graph::DirectedGraph &g, bool use_proxy,
-    std::uint32_t proxy_indegree_threshold,
-    std::unordered_map<VertexId, Value> &overlay,
-    std::vector<std::pair<VertexId, Value>> &pushes,
-    std::vector<VertexId> &changed) const
-{
-    // Virtual-dispatch wrapper over the shared template (single source
-    // of truth for the batch merge — see replica_sync_impl.hpp).
-    return pushDirtyMirrorsT<algorithms::Algorithm, true>(
-        plane, p, algo, g, use_proxy, proxy_indegree_threshold, overlay,
-        pushes, changed);
-}
-
 void
-ReplicaSync::refreshLocalMirrors(
-    ValuePlane &plane, const algorithms::Algorithm &algo,
-    std::uint64_t slot_lo, std::uint64_t slot_hi,
-    const std::unordered_map<VertexId, Value> &overlay,
-    const std::vector<VertexId> &changed) const
-{
-    refreshLocalMirrorsT<algorithms::Algorithm>(plane, algo, slot_lo,
-                                                slot_hi, overlay, changed);
-}
-
-void
-ReplicaSync::fanOutChanged(
-    ValuePlane &plane, PartitionId p,
-    const std::vector<VertexId> &changed,
-    const std::unordered_map<VertexId, Value> &overlay,
-    std::vector<PartitionId> &activated_parts) const
+ReplicaSync::fanOutChanged(ValuePlane &plane, PartitionId p,
+                           const std::vector<VertexId> &changed,
+                           std::vector<PartitionId> &activated_parts) const
 {
     for (const VertexId v : changed) {
-        const Value master = plane.storage.vVal(v);
-        const auto ov = overlay.find(v);
-        const bool self_current =
-            ov != overlay.end() && ov->second == master;
         for (std::uint64_t k = mirror_offsets_[v];
              k < mirror_offsets_[v + 1]; ++k) {
             const PartitionId part = mirror_parts_[k];
-            if ((part == p && self_current) || plane.stale_pending[k])
+            if (part == p || plane.stale_pending[k])
                 continue;
             plane.stale_pending[k] = 1;
             plane.stale_queue[part].push_back(v);
@@ -177,12 +143,7 @@ ReplicaSync::fanOutChanged(
         for (std::uint64_t k = consumer_offsets_[v];
              k < consumer_offsets_[v + 1]; ++k) {
             const PartitionId part = consumer_parts_[k];
-            if (part == p) {
-                if (!self_current)
-                    plane.partition_active[p] = 1;
-                continue;
-            }
-            if (!plane.partition_active[part]) {
+            if (part != p && !plane.partition_active[part]) {
                 // Gate only on the activation that wakes the partition
                 // up; later batches are picked up whenever it runs.
                 plane.partition_active[part] = 1;
@@ -249,31 +210,16 @@ ReplicaSync::convertStaleQueueLanes(
 
 void
 ReplicaSync::fanOutChangedLanes(
-    ValuePlane &plane, PartitionId p,
-    const std::vector<VertexId> &changed,
+    ValuePlane &plane, PartitionId p, const std::vector<VertexId> &changed,
     const std::vector<std::uint64_t> &changed_lanes,
-    const LaneOverlay &overlay,
     std::vector<PartitionId> &activated_parts) const
 {
-    const unsigned lanes = plane.lane_count;
     for (std::size_t i = 0; i < changed.size(); ++i) {
         const VertexId v = changed[i];
-        const Value *master =
-            &plane.lane_v[static_cast<std::size_t>(v) * lanes];
-        const Value *ov = overlay.find(v, lanes);
-        bool self_current = ov != nullptr;
-        if (self_current) {
-            for (unsigned l = 0; l < lanes; ++l) {
-                if (ov[l] != master[l]) {
-                    self_current = false;
-                    break;
-                }
-            }
-        }
         for (std::uint64_t k = mirror_offsets_[v];
              k < mirror_offsets_[v + 1]; ++k) {
             const PartitionId part = mirror_parts_[k];
-            if (part == p && self_current)
+            if (part == p)
                 continue;
             std::uint64_t &pending = plane.stale_pending_lanes[k];
             if (pending == 0)
@@ -283,12 +229,7 @@ ReplicaSync::fanOutChangedLanes(
         for (std::uint64_t k = consumer_offsets_[v];
              k < consumer_offsets_[v + 1]; ++k) {
             const PartitionId part = consumer_parts_[k];
-            if (part == p) {
-                if (!self_current)
-                    plane.partition_active[p] = 1;
-                continue;
-            }
-            if (!plane.partition_active[part]) {
+            if (part != p && !plane.partition_active[part]) {
                 plane.partition_active[part] = 1;
                 activated_parts.push_back(part);
             }

@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -36,53 +35,6 @@ struct PushStats
 {
     std::uint64_t proxy_pushes = 0;
     std::uint64_t atomic_pushes = 0;
-};
-
-/**
- * K-wide private master overlay of one lane dispatch (the lane-mode
- * counterpart of the scalar unordered_map<VertexId, Value> overlay):
- * per touched vertex, one contiguous stripe of K lane values, copied
- * from the committed lane masters on first touch.
- */
-struct LaneOverlay
-{
-    /** Vertex -> stripe index into values (stripe = index * K). */
-    std::unordered_map<VertexId, std::uint32_t> index;
-    /** Stripe pool, K values per entry. */
-    std::vector<Value> values;
-
-    /** Stripe of @p v, inserted from @p committed (K values) on
-     *  first touch. */
-    Value *
-    stripe(VertexId v, unsigned k, const Value *committed)
-    {
-        const auto [it, inserted] = index.try_emplace(
-            v, static_cast<std::uint32_t>(values.size() / k));
-        if (inserted)
-            values.insert(values.end(), committed, committed + k);
-        return values.data() + static_cast<std::size_t>(it->second) * k;
-    }
-
-    /** Stripe of @p v, or nullptr when untouched. */
-    const Value *
-    find(VertexId v, unsigned k) const
-    {
-        const auto it = index.find(v);
-        return it == index.end()
-                   ? nullptr
-                   : values.data() +
-                         static_cast<std::size_t>(it->second) * k;
-    }
-
-    bool empty() const { return index.empty(); }
-};
-
-/** One entry of a lane dispatch's master push log (ordered replay). */
-struct LanePush
-{
-    VertexId vertex;
-    std::uint32_t lane;
-    Value push;
 };
 
 /** Sort @p changed ascending and OR-merge duplicate vertices' masks in
@@ -217,74 +169,48 @@ class ReplicaSync
     /**
      * Mirror->master push phase over partition @p p's dirty-slot
      * worklist (ascending slot order): each mirror with a pending push
-     * merges into the private @p overlay (master values frozen for the
-     * wave live in plane.storage), logs into @p pushes, and collects
-     * masters whose overlaid value changed into @p changed
-     * (sorted/deduplicated). Returns the proxy/atomic split.
+     * merges straight into its master in V_val, and masters whose merge
+     * reported an activation-worthy change are collected into
+     * @p changed (sorted/deduplicated). With @p journal (fault
+     * tolerance on) every pushed master is marked checkpoint-dirty
+     * before its merge. Returns the proxy/atomic split. @p AlgoT is
+     * either a non-virtual kernel policy (specialized wave kernels —
+     * the merge math inlines into the batch loop) or
+     * algorithms::Algorithm (generic fallback). Defined in
+     * replica_sync_impl.hpp.
      */
-    PushStats
-    pushDirtyMirrors(ValuePlane &plane, PartitionId p,
-                     const algorithms::Algorithm &algo,
-                     const graph::DirectedGraph &g, bool use_proxy,
-                     std::uint32_t proxy_indegree_threshold,
-                     std::unordered_map<VertexId, Value> &overlay,
-                     std::vector<std::pair<VertexId, Value>> &pushes,
-                     std::vector<VertexId> &changed) const;
-
-    /**
-     * Static-dispatch variant of pushDirtyMirrors(): @p AlgoT is either
-     * a non-virtual kernel policy (specialized wave kernels — the merge
-     * math inlines into the batch loop) or algorithms::Algorithm (the
-     * .cpp wrapper above). @p LogPushes false skips the push log
-     * entirely (delta-merge kernels commit the overlay instead).
-     * Defined in replica_sync_impl.hpp.
-     */
-    template <class AlgoT, bool LogPushes>
+    template <class AlgoT>
     PushStats
     pushDirtyMirrorsT(ValuePlane &plane, PartitionId p, const AlgoT &algo,
                       const graph::DirectedGraph &g, bool use_proxy,
-                      std::uint32_t proxy_indegree_threshold,
-                      std::unordered_map<VertexId, Value> &overlay,
-                      std::vector<std::pair<VertexId, Value>> &pushes,
+                      std::uint32_t proxy_indegree_threshold, bool journal,
                       std::vector<VertexId> &changed) const;
 
     /**
      * Refresh phase: re-pull and re-activate partition-local mirrors
-     * ([slot_lo, slot_hi)) of each vertex in @p changed from the
-     * overlaid master (the proxy-vertex effect — accumulated results
-     * are reusable within the next local round).
+     * ([slot_lo, slot_hi)) of each vertex in @p changed from its master
+     * (the proxy-vertex effect — accumulated results are reusable
+     * within the next local round). Defined in replica_sync_impl.hpp.
      */
-    void refreshLocalMirrors(
-        ValuePlane &plane, const algorithms::Algorithm &algo,
-        std::uint64_t slot_lo, std::uint64_t slot_hi,
-        const std::unordered_map<VertexId, Value> &overlay,
-        const std::vector<VertexId> &changed) const;
-
-    /** Static-dispatch variant of refreshLocalMirrors() (see
-     *  pushDirtyMirrorsT()). Defined in replica_sync_impl.hpp. */
     template <class AlgoT>
-    void refreshLocalMirrorsT(
-        ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
-        std::uint64_t slot_hi,
-        const std::unordered_map<VertexId, Value> &overlay,
-        const std::vector<VertexId> &changed) const;
+    void refreshLocalMirrorsT(ValuePlane &plane, const AlgoT &algo,
+                              std::uint64_t slot_lo, std::uint64_t slot_hi,
+                              const std::vector<VertexId> &changed) const;
 
     /**
-     * Wave-barrier activation fan-out of the committed @p changed
-     * masters (serial phase): feed the stale queues of mirroring
-     * partitions and wake consumer partitions. A vertex is appended to
-     * a partition's queue only when its pending flag for that partition
-     * (ValuePlane::stale_pending) is clear, and the flag is then set,
-     * so each queue holds a vertex at most once and never outgrows the
-     * partition's mirror entries. The dispatching partition @p p skips
-     * itself only when its private @p overlay already equals the
-     * committed master (sole writer). Partitions woken from inactive
-     * are appended to @p activated_parts (unsorted; caller dedups) for
-     * the notification transfers.
+     * Barrier activation fan-out of the @p changed masters merged by
+     * partition @p p's dispatch: feed the stale queues of the other
+     * mirroring partitions and wake the other consumer partitions
+     * (partition @p p refreshed its own mirrors during the dispatch).
+     * A vertex is appended to a partition's queue only when its pending
+     * flag for that partition (ValuePlane::stale_pending) is clear, and
+     * the flag is then set, so each queue holds a vertex at most once
+     * and never outgrows the partition's mirror entries. Partitions
+     * woken from inactive are appended to @p activated_parts (unsorted;
+     * caller dedups) for the notification transfers.
      */
     void fanOutChanged(ValuePlane &plane, PartitionId p,
                        const std::vector<VertexId> &changed,
-                       const std::unordered_map<VertexId, Value> &overlay,
                        std::vector<PartitionId> &activated_parts) const;
 
     // --- K-wide lane variants (batched multi-source mode; each is the
@@ -313,44 +239,39 @@ class ReplicaSync
         const;
 
     /** Lane variant of pushDirtyMirrorsT(): every lane of a dirty slot
-     *  with a pending push merges into the K-wide @p overlay stripe;
+     *  with a pending push merges into its lane master in place;
      *  @p changed collects masters where ANY lane changed
      *  activation-worthily, with the per-vertex mask of changed lanes
-     *  in @p changed_lanes (parallel). Defined in
+     *  in @p changed_lanes (parallel). Lane runs exclude fault
+     *  tolerance, so nothing is journaled. Defined in
      *  replica_sync_impl.hpp. */
-    template <class AlgoT, bool LogPushes>
+    template <class AlgoT>
     PushStats
     pushDirtyMirrorsLanesT(ValuePlane &plane, PartitionId p,
                            const AlgoT &algo,
                            const graph::DirectedGraph &g, bool use_proxy,
                            std::uint32_t proxy_indegree_threshold,
-                           LaneOverlay &overlay,
-                           std::vector<LanePush> &pushes,
                            std::vector<VertexId> &changed,
                            std::vector<std::uint64_t> &changed_lanes)
         const;
 
     /** Lane variant of refreshLocalMirrorsT(): pulls every lane of the
-     *  in-range mirrors from the overlaid master stripe and re-activates
+     *  in-range mirrors from the lane master stripe and re-activates
      *  the changed lanes (@p changed_lanes parallel to @p changed) of
      *  source slots. Defined in replica_sync_impl.hpp. */
     template <class AlgoT>
     void refreshLocalMirrorsLanesT(
         ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
-        std::uint64_t slot_hi, const LaneOverlay &overlay,
-        const std::vector<VertexId> &changed,
+        std::uint64_t slot_hi, const std::vector<VertexId> &changed,
         const std::vector<std::uint64_t> &changed_lanes) const;
 
-    /** Lane variant of fanOutChanged(): the dispatching partition is
-     *  "current" only when its overlay stripe equals the committed lane
-     *  masters across ALL lanes. The per-vertex changed-lane mask
-     *  (@p changed_lanes parallel to @p changed) is ORed into the
+    /** Lane variant of fanOutChanged(): the per-vertex changed-lane
+     *  mask (@p changed_lanes parallel to @p changed) is ORed into the
      *  entry's ValuePlane::stale_pending_lanes; the vertex is enqueued
      *  only when that mask was zero. */
     void fanOutChangedLanes(ValuePlane &plane, PartitionId p,
                             const std::vector<VertexId> &changed,
                             const std::vector<std::uint64_t> &changed_lanes,
-                            const LaneOverlay &overlay,
                             std::vector<PartitionId> &activated_parts) const;
 
     /** Host bytes of the shared indexes. */

@@ -1,14 +1,13 @@
 /**
  * @file
  * Out-of-line definitions of ReplicaSync's static-dispatch sync
- * templates (pushDirtyMirrorsT / refreshLocalMirrorsT). Split from
- * replica_sync.hpp because they need the complete ValuePlane type,
- * which itself includes replica_sync.hpp.
+ * templates (pushDirtyMirrorsT / refreshLocalMirrorsT and their lane
+ * twins). Split from replica_sync.hpp because they need the complete
+ * ValuePlane type, which itself includes replica_sync.hpp.
  *
- * Included by the wave-body instantiation units (wave_kernel.cpp) and
- * by replica_sync.cpp for the virtual-dispatch wrappers — not by
- * general engine headers, so the templates compile exactly where they
- * are instantiated.
+ * Included by the wave-body instantiation unit (wave_kernel.cpp) — not
+ * by general engine headers, so the templates compile exactly where
+ * they are instantiated.
  */
 
 #pragma once
@@ -21,23 +20,22 @@
 
 namespace digraph::engine {
 
-template <class AlgoT, bool LogPushes>
+template <class AlgoT>
 PushStats
-ReplicaSync::pushDirtyMirrorsT(
-    ValuePlane &plane, PartitionId p, const AlgoT &algo,
-    const graph::DirectedGraph &g, bool use_proxy,
-    std::uint32_t proxy_indegree_threshold,
-    std::unordered_map<VertexId, Value> &overlay,
-    std::vector<std::pair<VertexId, Value>> &pushes,
-    std::vector<VertexId> &changed) const
+ReplicaSync::pushDirtyMirrorsT(ValuePlane &plane, PartitionId p,
+                               const AlgoT &algo,
+                               const graph::DirectedGraph &g,
+                               bool use_proxy,
+                               std::uint32_t proxy_indegree_threshold,
+                               bool journal,
+                               std::vector<VertexId> &changed) const
 {
-    // Every dirty mirror pushes its pending value/delta to the
-    // (privately overlaid) master. Only slots written this round are
-    // examined — the incremental replacement of a full slot-range
-    // sweep. Ascending slot order keeps the merge order of the sweep.
-    // Refreshes are deferred to refreshLocalMirrors() so that a refresh
-    // of one replica can never clobber another replica's un-pushed
-    // work.
+    // Every dirty mirror pushes its pending value/delta to its master.
+    // Only slots written this round are examined — the incremental
+    // replacement of a full slot-range sweep. Ascending slot order keeps
+    // the merge order of the sweep. Refreshes are deferred to
+    // refreshLocalMirrorsT() so that a refresh of one replica can never
+    // clobber another replica's un-pushed work.
     PushStats stats;
     auto &dirty = plane.partition_dirty[p];
     auto &dirty_slots = dirty.slots();
@@ -46,7 +44,7 @@ ReplicaSync::pushDirtyMirrorsT(
     for (std::size_t k = 0; k < n; ++k) {
         if (k + kPrefetchDistance < n) {
             // Gather prefetch: the master each upcoming dirty slot will
-            // try_emplace into the overlay (and the mirror pair itself).
+            // merge into (and the mirror pair itself).
             const std::uint64_t ahead = dirty_slots[k + kPrefetchDistance];
             DIGRAPH_PREFETCH(
                 &plane.storage.vVal(plane.storage.vertexAt(ahead)));
@@ -58,19 +56,19 @@ ReplicaSync::pushDirtyMirrorsT(
         if (!algo.hasPush(mirror, loaded))
             continue;
         const VertexId v = plane.storage.vertexAt(s);
-        const Value push = algo.pushValue(mirror, loaded);
-        const auto [it, inserted] =
-            overlay.try_emplace(v, plane.storage.vVal(v));
-        const bool master_changed = algo.mergeMaster(it->second, push);
+        // Journal before the merge: accumulative algorithms mutate the
+        // master even when mergeMaster reports no activation-worthy
+        // change, so every pushed vertex is checkpoint-dirty.
+        if (journal)
+            plane.markVertexDirty(v);
+        if (algo.mergeMaster(plane.storage.vVal(v),
+                             algo.pushValue(mirror, loaded)))
+            changed.push_back(v);
         loaded = mirror;
-        if constexpr (LogPushes)
-            pushes.emplace_back(v, push);
         if (use_proxy && g.inDegree(v) >= proxy_indegree_threshold)
             ++stats.proxy_pushes;
         else
             ++stats.atomic_pushes;
-        if (master_changed)
-            changed.push_back(v);
     }
     dirty.reset();
     std::sort(changed.begin(), changed.end());
@@ -81,14 +79,13 @@ ReplicaSync::pushDirtyMirrorsT(
 
 template <class AlgoT>
 void
-ReplicaSync::refreshLocalMirrorsT(
-    ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
-    std::uint64_t slot_hi,
-    const std::unordered_map<VertexId, Value> &overlay,
-    const std::vector<VertexId> &changed) const
+ReplicaSync::refreshLocalMirrorsT(ValuePlane &plane, const AlgoT &algo,
+                                  std::uint64_t slot_lo,
+                                  std::uint64_t slot_hi,
+                                  const std::vector<VertexId> &changed) const
 {
     for (const VertexId v : changed) {
-        const Value master = overlay.find(v)->second;
+        const Value master = plane.storage.vVal(v);
         const auto occ_begin =
             occur_slots_.begin() +
             static_cast<std::ptrdiff_t>(occur_offsets_[v]);
@@ -107,13 +104,12 @@ ReplicaSync::refreshLocalMirrorsT(
     }
 }
 
-template <class AlgoT, bool LogPushes>
+template <class AlgoT>
 PushStats
 ReplicaSync::pushDirtyMirrorsLanesT(
     ValuePlane &plane, PartitionId p, const AlgoT &algo,
     const graph::DirectedGraph &g, bool use_proxy,
-    std::uint32_t proxy_indegree_threshold, LaneOverlay &overlay,
-    std::vector<LanePush> &pushes, std::vector<VertexId> &changed,
+    std::uint32_t proxy_indegree_threshold, std::vector<VertexId> &changed,
     std::vector<std::uint64_t> &changed_lanes) const
 {
     // Stripe-wise twin of pushDirtyMirrorsT: the dirty worklist stays
@@ -140,22 +136,15 @@ ReplicaSync::pushDirtyMirrorsLanesT(
         Value *mirror = &plane.lane_s[s * lanes];
         Value *loaded = &plane.lane_loaded[s * lanes];
         const VertexId v = plane.storage.vertexAt(s);
-        Value *master = nullptr;
+        Value *master = &plane.lane_v[static_cast<std::size_t>(v) * lanes];
         std::uint64_t changed_mask = 0;
         for (unsigned l = 0; l < lanes; ++l) {
             if (!algo.hasPush(mirror[l], loaded[l]))
                 continue;
-            const Value push = algo.pushValue(mirror[l], loaded[l]);
-            if (master == nullptr) {
-                master = overlay.stripe(
-                    v, lanes,
-                    &plane.lane_v[static_cast<std::size_t>(v) * lanes]);
-            }
-            if (algo.mergeMaster(master[l], push))
+            if (algo.mergeMaster(master[l],
+                                 algo.pushValue(mirror[l], loaded[l])))
                 changed_mask |= std::uint64_t{1} << l;
             loaded[l] = mirror[l];
-            if constexpr (LogPushes)
-                pushes.push_back({v, l, push});
             if (use_proxy && g.inDegree(v) >= proxy_indegree_threshold)
                 ++stats.proxy_pushes;
             else
@@ -175,14 +164,14 @@ template <class AlgoT>
 void
 ReplicaSync::refreshLocalMirrorsLanesT(
     ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
-    std::uint64_t slot_hi, const LaneOverlay &overlay,
-    const std::vector<VertexId> &changed,
+    std::uint64_t slot_hi, const std::vector<VertexId> &changed,
     const std::vector<std::uint64_t> &changed_lanes) const
 {
     const unsigned lanes = plane.lane_count;
     for (std::size_t i = 0; i < changed.size(); ++i) {
         const VertexId v = changed[i];
-        const Value *master = overlay.find(v, lanes);
+        const Value *master =
+            &plane.lane_v[static_cast<std::size_t>(v) * lanes];
         const auto occ_begin =
             occur_slots_.begin() +
             static_cast<std::ptrdiff_t>(occur_offsets_[v]);

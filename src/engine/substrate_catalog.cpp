@@ -1,5 +1,6 @@
 #include "engine/substrate_catalog.hpp"
 
+#include <algorithm>
 #include <thread>
 
 #include "common/timer.hpp"
@@ -255,15 +256,6 @@ SubstrateCatalog::liveEpochs() const
 
 // --- appends -------------------------------------------------------------
 
-unsigned
-SubstrateCatalog::resolvedEngineThreads() const
-{
-    if (options_.engine_threads)
-        return static_cast<unsigned>(options_.engine_threads);
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1u;
-}
-
 partition::Preprocessed
 SubstrateCatalog::epochPre() const
 {
@@ -318,10 +310,11 @@ SubstrateCatalog::append(const std::vector<graph::Edge> &batch)
     if (policy_.incremental && !too_dirty) {
         partition::PreprocessOptions popts = opts.preprocess;
         if (popts.decompose.num_threads <= 1) {
-            // Honor the engine thread budget for the batch decomposition
+            // Decompose the batch on every hardware thread
             // (bit-identical across counts: the split is fixed at
             // kAppendSubgraphs, only the workers scale).
-            popts.decompose.num_threads = resolvedEngineThreads();
+            popts.decompose.num_threads =
+                std::max(1u, std::thread::hardware_concurrency());
         }
         master_pre_ = partition::appendPreprocess(std::move(master_pre_),
                                                   *g, delta, popts);

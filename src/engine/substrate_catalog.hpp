@@ -240,8 +240,6 @@ class SubstrateCatalog
                      std::size_t batch_edges);
     void unpin(const std::shared_ptr<EpochState> &state);
     void retireDrainedLocked();
-    /** engine_threads with 0 resolved to hardware concurrency. */
-    unsigned resolvedEngineThreads() const;
     /** Epoch substrates get a copy of the master preprocessing result
      *  without the mutable adjacency cache (master-only scratch). */
     partition::Preprocessed epochPre() const;

@@ -8,9 +8,8 @@
  * notifications, and the PR 3 transfer retry/fault path.
  *
  * A Transport instance is per-job (it owns the job's simulated clocks
- * and residency maps). All methods run in the engine's *serial* phases;
- * the parallel compute phase only reads the wave-start residency via
- * partition_device.
+ * and residency maps). The engine calls it from dispatch barriers and
+ * wave boundaries, never from a dispatch's compute phase.
  */
 
 #pragma once
@@ -36,8 +35,7 @@ inline constexpr std::size_t kMessageBytes =
 class Transport
 {
   public:
-    // --- per-run state (reset by beginRun; mutated only in serial
-    // phases, read-only during the parallel compute phase) ---
+    // --- per-run state (reset by beginRun) ---
     std::vector<DeviceId> partition_device; // last residence
     std::vector<double> partition_done;      // last dispatch completion
     std::vector<double> partition_msg_ready; // last activation arrival
@@ -72,8 +70,7 @@ class Transport
                   VertexId num_vertices,
                   metrics::CounterRegistry *counters);
 
-    /** Wave context for trace events (written by the serial scheduler
-     *  before the parallel phase, read-only during it). */
+    /** Wave context for trace events (set at each wave start). */
     void
     setTraceContext(metrics::TraceSink *trace, std::uint64_t wave,
                     double wave_sim)

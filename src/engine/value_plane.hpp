@@ -9,10 +9,7 @@
  * Ownership rule: the shared substrate layers (ReplicaSync, Dispatcher)
  * are read-only; anything a run mutates lives here, so N concurrent
  * jobs over one substrate are fully isolated by giving each its own
- * ValuePlane. Within one job, a partition's slice of the plane
- * (activation flags, worklist, dirty set) is touched only by the
- * dispatch owning that partition during a wave's compute phase, and by
- * the serial barrier otherwise.
+ * ValuePlane. Within one job, dispatches run one at a time.
  *
  * The flat-mode arrays serve the baseline engines (BSP/async/
  * sequential), which iterate on plain per-vertex/per-edge state without
@@ -90,9 +87,10 @@ class ValuePlane
     std::vector<std::vector<VertexId>> stale_queue;
     /** Scalar runs: per mirror-CSR entry (a (vertex, mirroring
      *  partition) pair, ReplicaSync::mirrorEntry()), set while the
-     *  vertex sits in that partition's stale_queue. Set only by the
-     *  serial barrier fan-out; cleared only by the owning partition's
-     *  dispatch (or device-loss recovery). Empty on lane runs. */
+     *  vertex sits in that partition's stale_queue. Set only by a
+     *  dispatch's barrier fan-out; cleared only by the owning
+     *  partition's dispatch (or device-loss recovery). Empty on lane
+     *  runs. */
     std::vector<std::uint8_t> stale_pending;
     /** Lane runs: per mirror-CSR entry, the OR of the lanes whose master
      *  changed since the partition last absorbed the vertex; nonzero
@@ -139,8 +137,8 @@ class ValuePlane
      *  bookkeeping tracks the union over lanes unchanged. */
     std::vector<std::uint64_t> slot_lane_mask;
     /** Active slots per (partition, lane): numPartitions x K, indexed
-     *  p * lane_count + lane. Partition-sliced so concurrent dispatches
-     *  never race; per-lane convergence sums the column at wave end. */
+     *  p * lane_count + lane; per-lane convergence sums the column at
+     *  wave end. */
     std::vector<std::uint64_t> lane_active_slots;
 
     // --- flat-mode state (baseline engines) ---
@@ -185,9 +183,7 @@ class ValuePlane
                   const algorithms::Algorithm &algo, bool double_buffer);
 
     /** Set a slot's activation flag, maintaining the per-path active
-     *  counter and the owning partition's path worklist. Only the
-     *  partition owning the slot may call this (partition-sliced
-     *  state, safe under concurrent wave dispatches). */
+     *  counter and the owning partition's path worklist. */
     void
     activateSlot(std::uint64_t slot)
     {
@@ -220,8 +216,7 @@ class ValuePlane
 
     /** Activate one lane of a slot. The union bookkeeping (slot flag,
      *  path counter, partition worklist) engages only on the slot's
-     *  first active lane, preserving the slot_active invariant. Same
-     *  ownership rule as activateSlot(). */
+     *  first active lane, preserving the slot_active invariant. */
     void
     activateSlotLane(std::uint64_t slot, unsigned lane)
     {

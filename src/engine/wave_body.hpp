@@ -1,20 +1,20 @@
 /**
  * @file
  * The single shared wave-body template behind every resolved kernel
- * (DESIGN.md §14). WaveKernels::compute<> is the parallel compute phase
- * of one partition dispatch, parameterized on
+ * (DESIGN.md §14). WaveKernels::compute<> is the compute phase of one
+ * partition dispatch, parameterized on
  *
- *  - AlgoT      — a non-virtual kernel policy (specialized kernels: the
- *                 per-edge math inlines, zero virtual calls) or
- *                 algorithms::Algorithm (generic fallback);
- *  - M          — the execution mode, so the VertexAsync snapshot
- *                 machinery and the PathAsync priority scheduling are
- *                 compiled out of the modes that don't use them;
- *  - TraceOn    — whether trace instrumentation exists at all in this
- *                 instantiation;
- *  - LogPushes  — whether the per-push replay log is kept (ordered
- *                 barrier merge) or skipped (lock-free delta merge
- *                 commits the overlay instead).
+ *  - AlgoT   — a non-virtual kernel policy (specialized kernels: the
+ *              per-edge math inlines, zero virtual calls) or
+ *              algorithms::Algorithm (generic fallback);
+ *  - M       — the execution mode, so the VertexAsync snapshot
+ *              machinery and the PathAsync priority scheduling are
+ *              compiled out of the modes that don't use them;
+ *  - TraceOn — whether trace instrumentation exists at all in this
+ *              instantiation.
+ *
+ * Dispatches run one at a time, so the body reads and writes the shared
+ * masters directly: mirror pushes merge into V_val in generation order.
  *
  * One template serves both the specialized and the generic path, so the
  * two can never drift semantically — the fallback is literally the same
@@ -65,39 +65,21 @@ struct WaveKernels
             return true;
     }
 
-    template <class T>
-    static constexpr bool
-    isAccumulative()
-    {
-        if constexpr (requires { T::kAccumulative; })
-            return T::kAccumulative;
-        else
-            return false;
-    }
-
     /**
-     * The parallel compute phase of one partition dispatch: local
-     * rounds against wave-start shared state, master merges buffered in
-     * the private overlay. Runs concurrently with other vertex-disjoint
-     * partitions of the chunk.
+     * The compute phase of one partition dispatch: local rounds until
+     * the partition's worklist drains (or max_local_rounds), merging
+     * mirror pushes into the masters as they happen.
      */
-    template <class AlgoT, ExecutionMode M, bool TraceOn, bool LogPushes>
+    template <class AlgoT, ExecutionMode M, bool TraceOn>
     static DispatchOutcome
     compute(DiGraphEngine &eng, PartitionId p, const AlgoT &algo)
     {
-        static_assert(LogPushes || isAccumulative<AlgoT>(),
-                      "delta merge (no push log) requires the "
-                      "commutative-accumulative family");
         DispatchOutcome out;
         out.partition = p;
         auto &plane = eng.plane_;
-        // Clearing here (not at batch selection) absorbs re-activations
-        // from earlier chunks of the same wave: their stale-queue
-        // entries are consumed by the conversion below, so the flag
-        // need not survive. Re-activations by *this* chunk's barrier
-        // happen after every compute returns and do survive. Distinct
-        // bytes per partition, so concurrent dispatches clearing their
-        // own flags do not race.
+        // The conversion below consumes every stale-queue entry left so
+        // far; this dispatch's own barrier or a later dispatch sets the
+        // flag again.
         plane.partition_active[p] = 0;
 
         const std::uint32_t path_lo = eng.pre_.partition_offsets[p];
@@ -105,16 +87,6 @@ struct WaveKernels
         const std::uint64_t slot_lo = plane.storage.pathOffset(path_lo);
         const std::uint64_t slot_hi = plane.storage.pathOffset(path_hi);
         const std::uint64_t partition_slots = slot_hi - slot_lo;
-
-        // Private master overlay: wave-start master + this dispatch's
-        // own merges. Global V_val is frozen for the whole wave, so
-        // concurrent dispatches may read it freely.
-        auto &overlay = out.overlay;
-        const auto masterOf = [&](VertexId v) -> Value {
-            const auto it = overlay.find(v);
-            return it != overlay.end() ? it->second
-                                       : plane.storage.vVal(v);
-        };
 
         // Stale-queue conversion (replaces a dispatch-start full
         // version scan): only vertices whose master version bumped
@@ -172,16 +144,13 @@ struct WaveKernels
             }
             ++local_rounds;
 
-            // First-touch pull of newly active paths (through the
-            // overlay so the pull sees this dispatch's own merges).
+            // First-touch pull of newly active paths (the masters
+            // already hold this dispatch's own merges).
             for (const PathId q : active_paths) {
                 if (pulled[q - path_lo])
                     continue;
                 pulled[q - path_lo] = 1;
-                if (overlay.empty())
-                    plane.storage.pullPath(q);
-                else
-                    plane.storage.pullPathWith(q, masterOf);
+                plane.storage.pullPath(q);
                 const std::size_t bytes = plane.storage.pathBytes(q);
                 out.loaded_vertices +=
                     plane.storage.pathOffset(q + 1) -
@@ -284,15 +253,13 @@ struct WaveKernels
             }
 
             // --- mirror -> master sync (batched, Section 3.2.2) ---
-            // Phase 1: every dirty mirror pushes into the private
-            // overlay (push log skipped under the delta merge).
+            // Phase 1: every dirty mirror merges into its master.
             changed.clear();
-            const PushStats stats =
-                eng.sync_.pushDirtyMirrorsT<AlgoT, LogPushes>(
-                    plane, p, algo, eng.g_, eng.options_.use_proxy,
-                    static_cast<std::uint32_t>(
-                        eng.options_.proxy_indegree_threshold),
-                    overlay, out.pushes, changed);
+            const PushStats stats = eng.sync_.pushDirtyMirrorsT<AlgoT>(
+                plane, p, algo, eng.g_, eng.options_.use_proxy,
+                static_cast<std::uint32_t>(
+                    eng.options_.proxy_indegree_threshold),
+                eng.ft_enabled_, changed);
             out.push_count += stats.proxy_pushes + stats.atomic_pushes;
             if constexpr (TraceOn) {
                 if (eng.trace_ &&
@@ -304,49 +271,26 @@ struct WaveKernels
                         local_rounds);
                 }
             }
-            if constexpr (!LogPushes) {
-                // Delta merge: the barrier commits the overlay without
-                // replaying pushes, so the activation-worthy set must
-                // be carried over. mergeMaster's verdict for the
-                // accumulative family depends only on the push
-                // magnitude, so the union of the per-round sets equals
-                // what the ordered replay would recompute.
-                out.changed.insert(out.changed.end(), changed.begin(),
-                                   changed.end());
-            }
+            out.changed.insert(out.changed.end(), changed.begin(),
+                               changed.end());
 
             // Phase 2: refresh and re-activate this partition's own
             // mirrors of each changed vertex (the proxy-vertex effect).
-            eng.sync_.refreshLocalMirrorsT<AlgoT>(
-                plane, algo, slot_lo, slot_hi, overlay, changed);
+            eng.sync_.refreshLocalMirrorsT<AlgoT>(plane, algo, slot_lo,
+                                                  slot_hi, changed);
 
             // Simulated cost of this round (recorded; charged to real
-            // SMX clocks at the wave barrier).
+            // SMX clocks at the dispatch barrier).
             out.round_group_cycles.push_back(eng.sched_.roundCost(
                 eng.options_, per_edge_cycles, active_paths,
                 processed_edges, stats.proxy_pushes,
                 stats.atomic_pushes));
         }
         out.local_rounds = local_rounds;
-        if constexpr (!LogPushes) {
-            std::sort(out.changed.begin(), out.changed.end());
-            out.changed.erase(
-                std::unique(out.changed.begin(), out.changed.end()),
-                out.changed.end());
-        }
-
-        // Global-load accounting: charged to the wave-start resident
-        // device (thread-safe atomic counter); deferred to the barrier
-        // when the partition was evicted and has no residence.
-        if (out.global_load_bytes) {
-            const DeviceId dev = eng.transport_.partition_device[p];
-            if (dev != kInvalidVertex) {
-                eng.transport_.platform().device(dev).addGlobalLoad(
-                    out.global_load_bytes);
-            } else {
-                out.deferred_load_bytes = out.global_load_bytes;
-            }
-        }
+        std::sort(out.changed.begin(), out.changed.end());
+        out.changed.erase(
+            std::unique(out.changed.begin(), out.changed.end()),
+            out.changed.end());
         return out;
     }
 
@@ -370,14 +314,10 @@ struct WaveKernels
      * once per slot regardless of K (the batching win
      * BENCH_multisource.json measures).
      */
-    template <class AlgoT, ExecutionMode M, bool TraceOn, bool LogPushes,
-              unsigned LanesCT>
+    template <class AlgoT, ExecutionMode M, bool TraceOn, unsigned LanesCT>
     static DispatchOutcome
     computeLanes(DiGraphEngine &eng, PartitionId p, const AlgoT &algo)
     {
-        static_assert(LogPushes || isAccumulative<AlgoT>(),
-                      "delta merge (no push log) requires the "
-                      "commutative-accumulative family");
         static_assert(M != ExecutionMode::VertexAsync,
                       "lane runs support the path modes only "
                       "(gated at resolution)");
@@ -391,8 +331,6 @@ struct WaveKernels
         const std::uint32_t path_hi = eng.pre_.partition_offsets[p + 1];
         const std::uint64_t slot_lo = plane.storage.pathOffset(path_lo);
         const std::uint64_t slot_hi = plane.storage.pathOffset(path_hi);
-
-        auto &overlay = out.lane_overlay;
 
         eng.sync_.convertStaleQueueLanes(plane, p, slot_lo, slot_hi,
                                          out.stale_vertices,
@@ -417,8 +355,8 @@ struct WaveKernels
             eng.options_.platform.coalesced_factor;
 
         // K-wide partition-load pull of one path: every slot's stripe is
-        // filled from the overlaid lane master (the scalar pullPathWith
-        // with a stripe copy instead of a scalar store).
+        // filled from the lane master (the scalar pullPath with a stripe
+        // copy instead of a scalar store).
         const auto pullPathLanes = [&](PathId q) {
             const std::uint64_t lo = plane.storage.pathOffset(q);
             const std::uint64_t hi = plane.storage.pathOffset(q + 1);
@@ -432,11 +370,7 @@ struct WaveKernels
                 }
                 const VertexId v = plane.storage.vertexAt(slot);
                 const Value *master =
-                    overlay.empty() ? nullptr : overlay.find(v, K);
-                if (master == nullptr) {
-                    master =
-                        &plane.lane_v[static_cast<std::size_t>(v) * K];
-                }
+                    &plane.lane_v[static_cast<std::size_t>(v) * K];
                 Value *mirror = &plane.lane_s[slot * K];
                 Value *loaded = &plane.lane_loaded[slot * K];
                 for (unsigned l = 0; l < K; ++l) {
@@ -584,12 +518,11 @@ struct WaveKernels
 
             changed.clear();
             changed_lanes.clear();
-            const PushStats stats =
-                eng.sync_.pushDirtyMirrorsLanesT<AlgoT, LogPushes>(
-                    plane, p, algo, eng.g_, eng.options_.use_proxy,
-                    static_cast<std::uint32_t>(
-                        eng.options_.proxy_indegree_threshold),
-                    overlay, out.lane_pushes, changed, changed_lanes);
+            const PushStats stats = eng.sync_.pushDirtyMirrorsLanesT<AlgoT>(
+                plane, p, algo, eng.g_, eng.options_.use_proxy,
+                static_cast<std::uint32_t>(
+                    eng.options_.proxy_indegree_threshold),
+                changed, changed_lanes);
             out.push_count += stats.proxy_pushes + stats.atomic_pushes;
             if constexpr (TraceOn) {
                 if (eng.trace_ &&
@@ -601,17 +534,14 @@ struct WaveKernels
                         local_rounds);
                 }
             }
-            if constexpr (!LogPushes) {
-                out.changed.insert(out.changed.end(), changed.begin(),
-                                   changed.end());
-                out.changed_lanes.insert(out.changed_lanes.end(),
-                                         changed_lanes.begin(),
-                                         changed_lanes.end());
-            }
+            out.changed.insert(out.changed.end(), changed.begin(),
+                               changed.end());
+            out.changed_lanes.insert(out.changed_lanes.end(),
+                                     changed_lanes.begin(),
+                                     changed_lanes.end());
 
             eng.sync_.refreshLocalMirrorsLanesT<AlgoT>(
-                plane, algo, slot_lo, slot_hi, overlay, changed,
-                changed_lanes);
+                plane, algo, slot_lo, slot_hi, changed, changed_lanes);
 
             out.round_group_cycles.push_back(eng.sched_.roundCost(
                 eng.options_, per_edge_cycles, active_paths,
@@ -620,76 +550,8 @@ struct WaveKernels
                 per_lane_cycles));
         }
         out.local_rounds = local_rounds;
-        if constexpr (!LogPushes) {
-            sortMergeChangedLanes(out.changed, out.changed_lanes);
-        }
-
-        if (out.global_load_bytes) {
-            const DeviceId dev = eng.transport_.partition_device[p];
-            if (dev != kInvalidVertex) {
-                eng.transport_.platform().device(dev).addGlobalLoad(
-                    out.global_load_bytes);
-            } else {
-                out.deferred_load_bytes = out.global_load_bytes;
-            }
-        }
+        sortMergeChangedLanes(out.changed, out.changed_lanes);
         return out;
-    }
-
-    /**
-     * Lane-mode orderedMerge(): replays the (vertex, lane, push) log
-     * against the lane masters, collecting the per-vertex mask of
-     * changed lanes in outcome.changed_lanes (parallel to @p changed;
-     * drives lane-precise activation fan-out). Lane runs exclude fault
-     * tolerance, so no checkpoint journaling happens here.
-     */
-    template <class AlgoT>
-    static void
-    orderedMergeLanes(DiGraphEngine &eng, DispatchOutcome &outcome,
-                      const AlgoT &algo, std::vector<VertexId> &changed)
-    {
-        const unsigned K = eng.plane_.lane_count;
-        auto &changed_lanes = outcome.changed_lanes;
-        changed.clear();
-        changed_lanes.clear();
-        for (const LanePush &lp : outcome.lane_pushes) {
-            if (algo.mergeMaster(
-                    eng.plane_.lane_v[static_cast<std::size_t>(
-                                          lp.vertex) *
-                                          K +
-                                      lp.lane],
-                    lp.push)) {
-                changed.push_back(lp.vertex);
-                changed_lanes.push_back(std::uint64_t{1} << lp.lane);
-            }
-        }
-        sortMergeChangedLanes(changed, changed_lanes);
-    }
-
-    /**
-     * Ordered master-merge replay of one outcome's push log against the
-     * true masters (serial barrier phase; bitwise family + fallback).
-     * Appends the activation-worthy masters to @p changed
-     * (sorted/deduplicated).
-     */
-    template <class AlgoT>
-    static void
-    orderedMerge(DiGraphEngine &eng, DispatchOutcome &outcome,
-                 const AlgoT &algo, std::vector<VertexId> &changed)
-    {
-        for (const auto &[v, push] : outcome.pushes) {
-            // Journal before the merge: accumulative algorithms mutate
-            // the master even when mergeMaster reports no
-            // activation-worthy change, so every pushed vertex is
-            // checkpoint-dirty.
-            if (eng.ft_enabled_)
-                eng.plane_.markVertexDirty(v);
-            if (algo.mergeMaster(eng.plane_.storage.vVal(v), push))
-                changed.push_back(v);
-        }
-        std::sort(changed.begin(), changed.end());
-        changed.erase(std::unique(changed.begin(), changed.end()),
-                      changed.end());
     }
 };
 

@@ -4,19 +4,11 @@
  * inter-job scheduler (GraphService) steers a running DiGraphEngine.
  *
  * DiGraphEngine::run() consults the hook once per dispatch wave, right
- * after the wave's merge barrier committed every outcome — the only
- * point where the job's state is fully consistent and *nothing is in
- * flight*. The hook may block: the engine simply parks on its calling
- * thread. No snapshot is taken because none is needed — the job's
- * ValuePlane IS its state, so a parked run resumes bit-identical to an
- * uninterrupted one (the same guarantee that makes results independent
- * of engine_threads extends to arbitrary pauses between waves).
- *
- * The return value is the worker-thread budget for the next wave,
- * which is how the inter-job level reallocates session threads across
- * running jobs dynamically (DESIGN.md §15). Thread-count changes never
- * change results — chunk composition and the barrier replay order are
- * thread-count independent by construction (DESIGN.md §6).
+ * after the wave's last dispatch barrier — the only point where the
+ * job's state is fully consistent and *nothing is in flight*. The hook
+ * may block: the engine simply parks on its calling thread. No snapshot
+ * is taken because none is needed — the job's ValuePlane IS its state,
+ * so a parked run resumes bit-identical to an uninterrupted one.
  */
 
 #pragma once
@@ -37,16 +29,14 @@ class WaveControl
     virtual ~WaveControl() = default;
 
     /**
-     * Called after wave @p wave's merge barrier. May block (the job is
-     * preempted until the scheduler grants it a new quantum).
+     * Called after wave @p wave's last dispatch barrier. May block (the
+     * job is preempted until the scheduler grants it a new quantum).
      * @param partition_active The job's partition worklist flags at the
      *        boundary — the inter-job scheduler's co-scheduling signal
      *        (jobs with overlapping worklists share substrate cache
      *        residency when run in the same quantum).
-     * @return Worker-thread budget for the next wave; 0 keeps the
-     *         current budget.
      */
-    virtual std::size_t
+    virtual void
     onWaveBoundary(std::uint64_t wave,
                    const std::vector<std::uint8_t> &partition_active) = 0;
 };

@@ -1,21 +1,11 @@
 /**
  * @file
- * The wave-barrier phase of a dispatch (DESIGN.md "Host execution
- * model" + §14). The compute phase lives in the wave-body template
- * (wave_body.hpp, instantiated by wave_kernel.cpp); this unit holds the
- * commit side:
- *
- *  - commitDeltas() — the lock-free parallel master commit of the
- *    delta-accumulative family: each outcome's private overlay is
- *    stored directly into V_val. The overlay value equals what the
- *    ordered replay would produce (same merge sequence from the same
- *    frozen wave-start master), and the chunk's partitions are
- *    vertex-disjoint, so concurrent commits touch disjoint masters —
- *    no locks, no atomics, no ordering requirement;
- *  - replayDispatch() — the serial remainder of the barrier, in
- *    dispatch order: work counters, simulated transport costs, the
- *    ordered merge replay (bitwise family / generic fallback), version
- *    bumps, and the activation fan-out.
+ * The barrier of one dispatch (DESIGN.md "Host execution model" + §14).
+ * The compute phase lives in the wave-body template (wave_body.hpp,
+ * instantiated by wave_kernel.cpp) and has already merged its pushes
+ * into the masters; replayDispatch() runs right after it, before the
+ * next dispatch of the wave: work counters, simulated transport and
+ * kernel costs, version bumps, and the activation fan-out.
  */
 
 #include "engine/digraph_engine.hpp"
@@ -27,31 +17,7 @@
 namespace digraph::engine {
 
 void
-DiGraphEngine::commitDeltas(DispatchOutcome &outcome)
-{
-    // Plain stores are race-free here: a wave chunk only contains
-    // mutually non-interfering (vertex-disjoint) partitions, so no two
-    // concurrent commits write the same master.
-    for (const auto &[v, value] : outcome.overlay)
-        plane_.storage.vVal(v) = value;
-}
-
-void
-DiGraphEngine::commitLaneDeltas(DispatchOutcome &outcome)
-{
-    // Same vertex-disjointness argument as commitDeltas, one K-wide
-    // stripe per touched master.
-    const unsigned k = plane_.lane_count;
-    for (const auto &[v, idx] : outcome.lane_overlay.index) {
-        const Value *src = outcome.lane_overlay.values.data() +
-                           static_cast<std::size_t>(idx) * k;
-        std::copy(src, src + k,
-                  &plane_.lane_v[static_cast<std::size_t>(v) * k]);
-    }
-}
-
-void
-DiGraphEngine::replayDispatch(DispatchOutcome &outcome,
+DiGraphEngine::replayDispatch(const DispatchOutcome &outcome,
                               metrics::RunReport &report)
 {
     const PartitionId p = outcome.partition;
@@ -74,8 +40,8 @@ DiGraphEngine::replayDispatch(DispatchOutcome &outcome,
     // touched only by work-stealing surplus, so concurrent partitions on
     // the device keep their own SMXs.
     const SmxId home_smx = device.leastLoadedSmx();
-    if (outcome.deferred_load_bytes)
-        device.addGlobalLoad(outcome.deferred_load_bytes);
+    if (outcome.global_load_bytes)
+        device.addGlobalLoad(outcome.global_load_bytes);
 
     double ready = transport_.ensureResident(
         p, dev,
@@ -105,27 +71,7 @@ DiGraphEngine::replayDispatch(DispatchOutcome &outcome,
                       outcome.local_rounds, outcome.edge_processings);
     }
 
-    // Master commit, per the resolved kernel: the delta-accumulative
-    // family was already committed in parallel (commitDeltas) and only
-    // hands over its activation-worthy set; everything else replays its
-    // push log in order against the true masters (earlier dispatches of
-    // this wave have committed theirs — the deterministic
-    // dispatch-order merge).
-    std::vector<VertexId> changed;
-    if (kernel_.delta_merge) {
-        changed = std::move(outcome.changed);
-        if (ft_enabled_) {
-            // The ordered path journals per replayed push; here the
-            // overlay keys ARE the pushed masters. (Lane runs exclude
-            // fault tolerance, so the scalar overlay is the only case.)
-            for (const auto &[v, value] : outcome.overlay) {
-                (void)value;
-                plane_.markVertexDirty(v);
-            }
-        }
-    } else {
-        kernel_.ordered_merge(*this, outcome, kernel_ctx_, changed);
-    }
+    const std::vector<VertexId> &changed = outcome.changed;
     if (trace_) {
         trace_->event(metrics::TraceEventType::MergeBarrier, trace_wave_,
                       p, ready, 0.0, outcome.push_count, changed.size());
@@ -142,11 +88,9 @@ DiGraphEngine::replayDispatch(DispatchOutcome &outcome,
     std::vector<PartitionId> activated_parts;
     if (plane_.lane_count > 0) {
         sync_.fanOutChangedLanes(plane_, p, changed,
-                                 outcome.changed_lanes,
-                                 outcome.lane_overlay, activated_parts);
+                                 outcome.changed_lanes, activated_parts);
     } else {
-        sync_.fanOutChanged(plane_, p, changed, outcome.overlay,
-                            activated_parts);
+        sync_.fanOutChanged(plane_, p, changed, activated_parts);
     }
     std::sort(activated_parts.begin(), activated_parts.end());
     activated_parts.erase(

@@ -2,8 +2,8 @@
  * @file
  * Wave-kernel registry: the only translation unit that instantiates the
  * shared wave body (wave_body.hpp), once per
- * (kernel policy x execution mode x trace x push-log) combination, plus
- * the generic virtual-dispatch fallback instantiations.
+ * (kernel policy x execution mode x trace) combination, plus the
+ * generic virtual-dispatch fallback instantiations.
  *
  * Resolution contract (see Algorithm::kernelTag()): an algorithm is
  * specialized iff its kernelTag() matches a registry entry AND it IS-A
@@ -33,86 +33,48 @@ namespace digraph::engine {
 
 namespace {
 
-template <class AlgoT, ExecutionMode M, bool TraceOn, bool LogPushes>
+template <class AlgoT, ExecutionMode M, bool TraceOn>
 DispatchOutcome
 computeThunk(DiGraphEngine &eng, PartitionId p, const void *ctx)
 {
-    return WaveKernels::compute<AlgoT, M, TraceOn, LogPushes>(
+    return WaveKernels::compute<AlgoT, M, TraceOn>(
         eng, p, *static_cast<const AlgoT *>(ctx));
 }
 
 template <class AlgoT>
-void
-orderedMergeThunk(DiGraphEngine &eng, DispatchOutcome &outcome,
-                  const void *ctx, std::vector<VertexId> &changed)
-{
-    WaveKernels::orderedMerge<AlgoT>(
-        eng, outcome, *static_cast<const AlgoT *>(ctx), changed);
-}
-
-template <class AlgoT, bool LogPushes>
 ResolvedKernel::ComputeFn
-pickMode(ExecutionMode mode, bool trace_on)
+pickCompute(ExecutionMode mode, bool trace_on)
 {
     switch (mode) {
       case ExecutionMode::PathAsync:
         return trace_on
-                   ? &computeThunk<AlgoT, ExecutionMode::PathAsync, true,
-                                   LogPushes>
-                   : &computeThunk<AlgoT, ExecutionMode::PathAsync,
-                                   false, LogPushes>;
+                   ? &computeThunk<AlgoT, ExecutionMode::PathAsync, true>
+                   : &computeThunk<AlgoT, ExecutionMode::PathAsync, false>;
       case ExecutionMode::PathNoSched:
         return trace_on
-                   ? &computeThunk<AlgoT, ExecutionMode::PathNoSched,
-                                   true, LogPushes>
+                   ? &computeThunk<AlgoT, ExecutionMode::PathNoSched, true>
                    : &computeThunk<AlgoT, ExecutionMode::PathNoSched,
-                                   false, LogPushes>;
+                                   false>;
       case ExecutionMode::VertexAsync:
         return trace_on
-                   ? &computeThunk<AlgoT, ExecutionMode::VertexAsync,
-                                   true, LogPushes>
+                   ? &computeThunk<AlgoT, ExecutionMode::VertexAsync, true>
                    : &computeThunk<AlgoT, ExecutionMode::VertexAsync,
-                                   false, LogPushes>;
+                                   false>;
     }
     return nullptr; // unreachable
 }
 
-template <class AlgoT>
-ResolvedKernel::ComputeFn
-pickCompute(ExecutionMode mode, bool trace_on, bool log_pushes)
-{
-    // The no-push-log body exists only for the accumulative family
-    // (static_assert in the body); don't instantiate it elsewhere.
-    if constexpr (WaveKernels::isAccumulative<AlgoT>()) {
-        if (!log_pushes)
-            return pickMode<AlgoT, false>(mode, trace_on);
-    }
-    (void)log_pushes;
-    return pickMode<AlgoT, true>(mode, trace_on);
-}
-
 // --- lane (batched multi-source) rows ---
 
-template <class AlgoT, ExecutionMode M, bool TraceOn, bool LogPushes,
-          unsigned LanesCT>
+template <class AlgoT, ExecutionMode M, bool TraceOn, unsigned LanesCT>
 DispatchOutcome
 computeLanesThunk(DiGraphEngine &eng, PartitionId p, const void *ctx)
 {
-    return WaveKernels::computeLanes<AlgoT, M, TraceOn, LogPushes,
-                                     LanesCT>(
+    return WaveKernels::computeLanes<AlgoT, M, TraceOn, LanesCT>(
         eng, p, *static_cast<const AlgoT *>(ctx));
 }
 
-template <class AlgoT>
-void
-orderedMergeLanesThunk(DiGraphEngine &eng, DispatchOutcome &outcome,
-                       const void *ctx, std::vector<VertexId> &changed)
-{
-    WaveKernels::orderedMergeLanes<AlgoT>(
-        eng, outcome, *static_cast<const AlgoT *>(ctx), changed);
-}
-
-template <class AlgoT, bool LogPushes, unsigned LanesCT>
+template <class AlgoT, unsigned LanesCT>
 ResolvedKernel::ComputeFn
 pickLaneMode(ExecutionMode mode, bool trace_on)
 {
@@ -120,17 +82,15 @@ pickLaneMode(ExecutionMode mode, bool trace_on)
       case ExecutionMode::PathAsync:
         return trace_on
                    ? &computeLanesThunk<AlgoT, ExecutionMode::PathAsync,
-                                        true, LogPushes, LanesCT>
+                                        true, LanesCT>
                    : &computeLanesThunk<AlgoT, ExecutionMode::PathAsync,
-                                        false, LogPushes, LanesCT>;
+                                        false, LanesCT>;
       case ExecutionMode::PathNoSched:
         return trace_on
-                   ? &computeLanesThunk<AlgoT,
-                                        ExecutionMode::PathNoSched, true,
-                                        LogPushes, LanesCT>
-                   : &computeLanesThunk<AlgoT,
-                                        ExecutionMode::PathNoSched,
-                                        false, LogPushes, LanesCT>;
+                   ? &computeLanesThunk<AlgoT, ExecutionMode::PathNoSched,
+                                        true, LanesCT>
+                   : &computeLanesThunk<AlgoT, ExecutionMode::PathNoSched,
+                                        false, LanesCT>;
       case ExecutionMode::VertexAsync:
         break; // engine rejects lane runs under VertexAsync
     }
@@ -139,25 +99,12 @@ pickLaneMode(ExecutionMode mode, bool trace_on)
 
 /** Lane bodies exist at LanesCT = 0 (run-time K) and 8 (the batched-PPR
  *  sweet spot the bench measures — the stripe loops unroll). */
-template <class AlgoT, bool LogPushes>
-ResolvedKernel::ComputeFn
-pickLaneWidth(ExecutionMode mode, bool trace_on, unsigned lanes)
-{
-    return lanes == 8 ? pickLaneMode<AlgoT, LogPushes, 8>(mode, trace_on)
-                      : pickLaneMode<AlgoT, LogPushes, 0>(mode, trace_on);
-}
-
 template <class AlgoT>
 ResolvedKernel::ComputeFn
-pickLaneCompute(ExecutionMode mode, bool trace_on, bool log_pushes,
-                unsigned lanes)
+pickLaneCompute(ExecutionMode mode, bool trace_on, unsigned lanes)
 {
-    if constexpr (WaveKernels::isAccumulative<AlgoT>()) {
-        if (!log_pushes)
-            return pickLaneWidth<AlgoT, false>(mode, trace_on, lanes);
-    }
-    (void)log_pushes;
-    return pickLaneWidth<AlgoT, true>(mode, trace_on, lanes);
+    return lanes == 8 ? pickLaneMode<AlgoT, 8>(mode, trace_on)
+                      : pickLaneMode<AlgoT, 0>(mode, trace_on);
 }
 
 /** Try to resolve @p algo as a lane algorithm realizing @p Policy
@@ -176,14 +123,10 @@ tryResolveLanes(const algorithms::Algorithm &algo, const std::string &tag,
             &algo);
     if (!typed)
         return false;
-    auto policy = std::make_shared<const Policy>(typed->kernelPolicy());
     out.name = std::string(expected) + ":lanes";
     out.specialized = true;
-    out.delta_merge = Policy::kAccumulative && options.delta_merge;
-    out.compute = pickLaneCompute<Policy>(options.mode, trace_on,
-                                          !out.delta_merge, lanes);
-    out.ordered_merge = &orderedMergeLanesThunk<Policy>;
-    out.policy = std::move(policy);
+    out.compute = pickLaneCompute<Policy>(options.mode, trace_on, lanes);
+    out.policy = std::make_shared<const Policy>(typed->kernelPolicy());
     return true;
 }
 
@@ -200,14 +143,10 @@ tryResolve(const algorithms::Algorithm &algo, const std::string &tag,
     if (!typed)
         return false;
     using Policy = typename AlgoClass::KernelPolicy;
-    auto policy = std::make_shared<const Policy>(typed->kernelPolicy());
     out.name = expected;
     out.specialized = true;
-    out.delta_merge = Policy::kAccumulative && options.delta_merge;
-    out.compute =
-        pickCompute<Policy>(options.mode, trace_on, !out.delta_merge);
-    out.ordered_merge = &orderedMergeThunk<Policy>;
-    out.policy = std::move(policy);
+    out.compute = pickCompute<Policy>(options.mode, trace_on);
+    out.policy = std::make_shared<const Policy>(typed->kernelPolicy());
     return true;
 }
 
@@ -232,10 +171,8 @@ resolveWaveKernel(const algorithms::Algorithm &algo,
         }
         k.name = "generic-lanes:" + algo.name();
         k.specialized = false;
-        k.delta_merge = false;
         k.compute = pickLaneCompute<algorithms::Algorithm>(
-            options.mode, trace_on, true, lanes);
-        k.ordered_merge = &orderedMergeLanesThunk<algorithms::Algorithm>;
+            options.mode, trace_on, lanes);
         k.policy = nullptr;
         return k;
     }
@@ -262,10 +199,7 @@ resolveWaveKernel(const algorithms::Algorithm &algo,
     }
     k.name = "generic:" + algo.name();
     k.specialized = false;
-    k.delta_merge = false;
-    k.compute = pickCompute<algorithms::Algorithm>(options.mode, trace_on,
-                                                   true);
-    k.ordered_merge = &orderedMergeThunk<algorithms::Algorithm>;
+    k.compute = pickCompute<algorithms::Algorithm>(options.mode, trace_on);
     k.policy = nullptr;
     return k;
 }

@@ -4,9 +4,9 @@
  *
  * The wave compute phase is a single body template (wave_body.hpp)
  * instantiated per (algorithm kernel policy x execution mode x trace
- * on/off x push-log on/off). resolveWaveKernel() maps a concrete
- * Algorithm plus the engine options to one such instantiation ONCE per
- * run: the hot loop then calls the algorithm's per-edge math through an
+ * on/off). resolveWaveKernel() maps a concrete Algorithm plus the
+ * engine options to one such instantiation ONCE per run: the hot loop
+ * then calls the algorithm's per-edge math through an
  * inlined policy copy — zero virtual dispatch per edge, dead feature
  * branches (tracing, unused weight/out-degree loads, the VertexAsync
  * snapshot machinery) compiled out.
@@ -21,7 +21,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 #include "engine/options.hpp"
@@ -36,10 +35,10 @@ class DiGraphEngine;
 struct DispatchOutcome;
 
 /**
- * One resolved wave kernel: the compute/merge entry points of the
- * selected body instantiation plus the owned policy copy they run on.
+ * One resolved wave kernel: the compute entry point of the selected
+ * body instantiation plus the owned policy copy it runs on.
  *
- * The `ctx` argument of both entry points is the kernel policy copy for
+ * The `ctx` argument of the entry point is the kernel policy copy for
  * specialized kernels (ResolvedKernel::policy) and the Algorithm itself
  * for the generic fallback — the engine passes whichever it stored at
  * resolution (DiGraphEngine::kernel_ctx_).
@@ -48,23 +47,13 @@ struct ResolvedKernel
 {
     using ComputeFn = DispatchOutcome (*)(DiGraphEngine &, PartitionId,
                                           const void *ctx);
-    using MergeFn = void (*)(DiGraphEngine &, DispatchOutcome &,
-                             const void *ctx,
-                             std::vector<VertexId> &changed);
 
     /** Kernel name ("pagerank", ...; "generic:<name>" = fallback). */
     std::string name = "generic";
     /** Policy-inlined compute loop (no virtual calls per edge). */
     bool specialized = false;
-    /** Masters commit via the lock-free parallel delta merge at the
-     *  barrier (accumulative family with EngineOptions::delta_merge);
-     *  otherwise the ordered serial replay runs. */
-    bool delta_merge = false;
-    /** Parallel compute phase of one partition dispatch. */
+    /** Compute phase of one partition dispatch. */
     ComputeFn compute = nullptr;
-    /** Ordered master-merge replay of one outcome's push log (unused
-     *  when delta_merge). */
-    MergeFn ordered_merge = nullptr;
     /** Owned copy of the kernel policy (null for the fallback). */
     std::shared_ptr<const void> policy;
 };

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -133,11 +132,8 @@ class LinkModel
 /**
  * One simulated GPU: SMXs plus a host link and global-memory accounting.
  *
- * Threading contract: clocks (SMXs, links) are single-writer — the engine
- * mutates them only from the serial wave-barrier replay. Global-load
- * accounting is the one counter fed from the *parallel* compute phase of a
- * wave (several dispatches resident on one device at once), so it is
- * atomic; relaxed ordering suffices because it is a pure sum.
+ * Threading contract: a Device belongs to one run's Platform and is
+ * mutated only by the thread executing that run.
  */
 class Device
 {
@@ -147,18 +143,6 @@ class Device
           host_link_(cfg.host_link_bytes_per_cycle,
                      cfg.transfer_latency_cycles, cfg.num_streams)
     {}
-
-    Device(Device &&other) noexcept
-        : id_(other.id_), smxs_(std::move(other.smxs_)),
-          host_link_(std::move(other.host_link_)),
-          failed_(other.failed_),
-          global_load_bytes_(other.global_load_bytes_.load(
-              std::memory_order_relaxed))
-    {}
-
-    Device(const Device &) = delete;
-    Device &operator=(const Device &) = delete;
-    Device &operator=(Device &&) = delete;
 
     DeviceId id() const { return id_; }
 
@@ -205,20 +189,11 @@ class Device
         return b;
     }
 
-    /** Record @p bytes loaded from global memory into cores.
-     *  Thread-safe: callable from concurrent wave dispatches. */
-    void
-    addGlobalLoad(std::uint64_t bytes)
-    {
-        global_load_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    }
+    /** Record @p bytes loaded from global memory into cores. */
+    void addGlobalLoad(std::uint64_t bytes) { global_load_bytes_ += bytes; }
 
     /** Bytes loaded from global memory into cores. */
-    std::uint64_t
-    globalLoadBytes() const
-    {
-        return global_load_bytes_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t globalLoadBytes() const { return global_load_bytes_; }
 
     /** Mark the device as permanently lost (fault injection). Clocks
      *  and accounting are kept — work done before the loss happened. */
@@ -236,7 +211,7 @@ class Device
             s.reset();
         host_link_.reset();
         failed_ = false;
-        global_load_bytes_.store(0, std::memory_order_relaxed);
+        global_load_bytes_ = 0;
     }
 
   private:
@@ -244,7 +219,7 @@ class Device
     std::vector<Smx> smxs_;
     LinkModel host_link_;
     bool failed_ = false;
-    std::atomic<std::uint64_t> global_load_bytes_{0};
+    std::uint64_t global_load_bytes_ = 0;
 };
 
 /**

@@ -9,9 +9,9 @@
  * sinks, the CI schema check) read the same registry, so "the trace says
  * X" and "the report says X" can never drift apart.
  *
- * Not thread-safe by design: the DiGraph engine only mutates counters from
- * the serial wave barrier (parallel dispatches accumulate into their
- * private DispatchOutcome first), and the baselines are single-threaded.
+ * Not thread-safe by design: every run owns its registry and mutates it
+ * from the run's thread only (the DiGraph engine from each dispatch's
+ * barrier).
  */
 
 #pragma once

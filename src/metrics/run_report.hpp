@@ -102,21 +102,19 @@ struct RunReport
     double sim_cycles = 0.0;
     /** Host wall-clock of the processing phase, seconds. */
     double wall_seconds = 0.0;
-    /** Host wall-clock spent in the parallel compute phase of the waves
-     *  (partition-local path processing), seconds. */
+    /** Host wall-clock spent in the compute phase of the dispatches
+     *  (partition-local path processing, including the in-place master
+     *  merges), seconds. */
     double wall_compute_seconds = 0.0;
-    /** Host wall-clock spent in the serial wave barrier (master merge +
-     *  platform cost replay in dispatch order), seconds. */
+    /** Host wall-clock spent in the dispatch barriers (platform cost
+     *  replay, version bumps, activation fan-out), seconds. */
     double wall_barrier_seconds = 0.0;
-    /** Host wall-clock spent in the parallel commutative merge commit
-     *  (delta-accumulative family only; 0 under ordered replay),
-     *  seconds. */
+    /** Always 0: masters merge in place during compute, so no engine
+     *  has a separate merge phase. Kept for readers of the field. */
     double wall_merge_seconds = 0.0;
     /** Host wall-clock spent selecting dispatch batches (readiness and
      *  priority scans), seconds. */
     double wall_schedule_seconds = 0.0;
-    /** Host worker threads the engine used for wave execution. */
-    std::uint32_t engine_threads = 1;
     /** Wave-kernel the run resolved to ("pagerank", "sssp", ...;
      *  "generic:<name>" = virtual-dispatch fallback). Empty for
      *  non-wave engines (baselines). */
@@ -124,9 +122,6 @@ struct RunReport
     /** Whether the wave hot loop ran a compile-time-specialized kernel
      *  (zero virtual algorithm calls per edge). */
     bool kernel_specialized = false;
-    /** Whether masters were committed via the lock-free delta merge
-     *  (accumulative family) instead of ordered replay. */
-    bool kernel_delta_merge = false;
     /** Dispatch waves executed (a wave batches concurrent dispatches). */
     std::uint64_t waves = 0;
     /** Preprocessing wall-clock, seconds. */

@@ -11,8 +11,8 @@ namespace digraph::metrics {
 
 namespace {
 
-/** Dense per-process thread ids (0 = the thread that records first,
- *  normally the serial scheduler/barrier thread). */
+/** Dense per-process thread ids (0 = the thread that records
+ *  first). */
 std::uint32_t
 denseThreadId()
 {

@@ -10,9 +10,9 @@
  * null check, so a disabled trace costs one predictable branch and no
  * allocation — the hot loop is unchanged.
  *
- * Event *order* in the sink may differ between runs with different
- * engine_threads values (compute-phase events are appended as worker
- * threads reach them); counter totals and per-event payloads must not.
+ * A job's dispatches run one at a time, so the event sequence of a
+ * run (types, waves, partitions, simulated timestamps, payloads) is a
+ * function of its input alone; only the wall-clock timestamps vary.
  *
  * Exporters: writeChromeJson() emits chrome://tracing "Trace Event
  * Format" JSON (open in chrome://tracing or https://ui.perfetto.dev),
@@ -37,13 +37,14 @@ enum class TraceEventType : std::uint8_t {
     /** A dispatch wave's schedule was frozen (arg0 = batch size,
      *  arg1 = first partition of the batch). */
     WaveStart,
-    /** All chunks of the wave committed (arg0 = partitions run). */
+    /** Every dispatch of the wave committed (arg0 = partitions
+     *  run). */
     WaveEnd,
     /** One partition dispatch's simulated kernel span (arg0 = local
      *  rounds, arg1 = edges processed). */
     Dispatch,
-    /** Serial barrier commit of one dispatch (arg0 = master pushes
-     *  replayed, arg1 = masters changed). */
+    /** Barrier of one dispatch (arg0 = mirror pushes merged into
+     *  masters, arg1 = masters changed). */
     MergeBarrier,
     /** One local round's mirror->master push batch (arg0 = pushes,
      *  arg1 = local round index). */
@@ -70,7 +71,8 @@ enum class TraceEventType : std::uint8_t {
      *  Service-level sinks only (ServiceConfig::trace). */
     JobAdmit,
     /** The inter-job scheduler granted a job an execution slot
-     *  (arg0 = job id, arg1 = worker threads allocated). */
+     *  (arg0 = job id, arg1 = 1 when the grant was placed by worklist
+     *  overlap instead of plain rank order, else 0). */
     JobGrant,
     /** A job parked at a wave boundary — preempted until its next
      *  grant (arg0 = job id, arg1 = waves run in the quantum). */
@@ -134,8 +136,8 @@ inline constexpr std::uint64_t kTraceNoPartition = ~0ull;
 struct TraceEvent
 {
     TraceEventType type = TraceEventType::WaveStart;
-    /** Recording thread's dense id (0 = the serial scheduler/barrier
-     *  thread; workers get 1..N in first-record order). */
+    /** Recording thread's dense per-process id, in first-record order
+     *  (each GraphService job records on its own thread). */
     std::uint32_t tid = 0;
     /** Dispatch wave the event belongs to. */
     std::uint64_t wave = 0;

@@ -151,8 +151,8 @@ struct GcReport
 
 /**
  * The versioned store over one directory. Not thread-safe; callers
- * serialize access (the engine commits only from the serial barrier,
- * the CLI from its main thread).
+ * serialize access (the engine commits only between dispatches, the
+ * CLI from its main thread).
  */
 class DurableStore
 {

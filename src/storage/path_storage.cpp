@@ -1,6 +1,7 @@
 #include "storage/path_storage.hpp"
 
 #include "common/logging.hpp"
+#include "common/prefetch.hpp"
 
 namespace digraph::storage {
 

@@ -31,7 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "common/prefetch.hpp"
 #include "common/types.hpp"
 #include "graph/digraph.hpp"
 #include "partition/path_set.hpp"
@@ -261,32 +260,6 @@ class PathStorage
     /** Fill every S_val and loaded-state slot of path @p p from V_val
      *  (the partition-load pull). */
     void pullPath(PathId p);
-
-    /**
-     * pullPath() with a master override: each slot is filled from
-     * @p masterOf(vertex_id) instead of V_val. Used by dispatches that
-     * buffer their master merges privately until a wave barrier — the
-     * pull must see the dispatch's own pending merges even though V_val
-     * is frozen for the wave.
-     */
-    template <typename F>
-    void
-    pullPathWith(PathId p, F &&masterOf)
-    {
-        const std::uint64_t lo = layout_->pathOffset(p);
-        const std::uint64_t hi = layout_->pathOffset(p + 1);
-        for (std::uint64_t slot = lo; slot < hi; ++slot) {
-            // Path-sequential gather: E_idx streams linearly but V_val
-            // is hit through the vertex id — prefetch the master a few
-            // slots ahead (the overlay miss path reads V_val too).
-            if (slot + kPrefetchDistance < hi) {
-                DIGRAPH_PREFETCH(
-                    &v_val_[layout_->vertexAt(slot + kPrefetchDistance)]);
-            }
-            s_val_[slot] = masterOf(layout_->vertexAt(slot));
-            loaded_val_[slot] = s_val_[slot];
-        }
-    }
 
     /** Bytes a GPU must move to load path @p p. */
     std::size_t pathBytes(PathId p) const

@@ -19,6 +19,15 @@
  * by more than 32 of its partitions. They were recorded by the engine
  * whose stale queues were sorted and deduplicated at every dispatch,
  * before stale entries were deduplicated when enqueued.
+ *
+ * The longdist_* fixtures pin the wave dispatch order. A wave runs in
+ * the concatenated order of its greedy vertex-disjoint chunks
+ * (Dispatcher::waveOrder), which differs from the batch order only when
+ * a chunk holds two or more partitions. No run on the golden or hub
+ * graphs has such a chunk; on the locality-windowed longdist test graph
+ * (test::testGraphs()) every algorithm does. They were recorded by the
+ * engine that ran each chunk's partitions on worker threads, before
+ * dispatches ran one at a time in the same order.
  */
 
 #include <cinttypes>
@@ -33,6 +42,8 @@
 #include "common/logging.hpp"
 #include "engine/digraph_engine.hpp"
 #include "graph/generators.hpp"
+
+#include "test_util.hpp"
 
 namespace {
 
@@ -137,7 +148,6 @@ main(int argc, char **argv)
     for (const std::string &name : all_algos) {
         engine::EngineOptions opts;
         opts.platform = smallPlatform();
-        opts.engine_threads = 1;
         engine::DiGraphEngine eng(g, opts);
         const auto algo = algorithms::makeAlgorithm(name, g);
         writeFixture(dir, "", kPreRefactor, name,
@@ -150,8 +160,7 @@ main(int argc, char **argv)
             engine::EngineOptions opts;
             opts.mode = mode;
             opts.platform = smallPlatform();
-            opts.engine_threads = 1;
-            engine::DiGraphEngine eng(g, opts);
+                engine::DiGraphEngine eng(g, opts);
             const auto algo = algorithms::makeAlgorithm(name, g);
             writeFixture(dir, "", kPreRefactor, name, mode,
                          eng.run(*algo));
@@ -164,13 +173,27 @@ main(int argc, char **argv)
     for (const std::string name : {"pagerank", "sssp"}) {
         engine::EngineOptions opts;
         opts.platform = smallPlatform();
-        opts.engine_threads = 1;
         engine::DiGraphEngine eng(hub, opts);
         const auto algo = algorithms::makeAlgorithm(name, hub);
         writeFixture(dir, "hub_",
                      "twitter stand-in at scale 0.02, sorted stale queues",
                      name, engine::ExecutionMode::PathAsync,
                      eng.run(*algo));
+    }
+
+    graph::DirectedGraph longdist;
+    for (auto &named : test::testGraphs()) {
+        if (named.name == "longdist")
+            longdist = std::move(named.graph);
+    }
+    for (const std::string &name : all_algos) {
+        engine::EngineOptions opts;
+        opts.platform = smallPlatform();
+        engine::DiGraphEngine eng(longdist, opts);
+        const auto algo = algorithms::makeAlgorithm(name, longdist);
+        writeFixture(dir, "longdist_",
+                     "longdist test graph, chunked parallel waves", name,
+                     engine::ExecutionMode::PathAsync, eng.run(*algo));
     }
     return 0;
 }

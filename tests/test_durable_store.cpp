@@ -178,7 +178,6 @@ TEST_F(DurableStoreTest, EngineRunsIdenticallyFromLoadedTopology)
     ASSERT_NE(store.commitTopology(g_, pre_), 0u);
 
     engine::EngineOptions opts;
-    opts.engine_threads = 1;
     const auto algo = std::make_shared<algorithms::Sssp>(0);
 
     engine::DiGraphEngine cold(g_, partition::Preprocessed(pre_), opts);
@@ -484,7 +483,6 @@ TEST_F(DurableStoreTest, EngineFlushesCheckpointsAndRestartsIdentically)
     ASSERT_NE(topo, 0u);
 
     engine::EngineOptions opts;
-    opts.engine_threads = 1;
     opts.store = &store;
     opts.store_parent = topo;
     const auto algo = std::make_shared<algorithms::Sssp>(0);
@@ -503,7 +501,6 @@ TEST_F(DurableStoreTest, EngineFlushesCheckpointsAndRestartsIdentically)
     // fault tolerance, so sim_cycles are compared only between runs of
     // the same configuration).
     engine::EngineOptions plain;
-    plain.engine_threads = 1;
     engine::DiGraphEngine ref(g_, sub, plain);
     const auto ref_report = ref.run(*algo);
     ASSERT_EQ(ref_report.final_state.size(),
@@ -537,7 +534,6 @@ TEST_F(DurableStoreTest, DeviceLossRecoversFromDiskIdentically)
     ASSERT_EQ(err, "");
 
     engine::EngineOptions with_disk;
-    with_disk.engine_threads = 1;
     with_disk.platform.num_devices = 2;
     with_disk.faults = plan;
     with_disk.store = &store;
@@ -590,7 +586,6 @@ TEST_F(DurableStoreTest, FailedFlushCarriesDirtyPartitionsForward)
     DurableStore faulty(faulty_dir, &ops);
 
     engine::EngineOptions opts;
-    opts.engine_threads = 1;
     opts.checkpoint_interval = 1; // flush every wave: several epochs
     opts.store = &clean;
     opts.store_parent = clean_topo;
@@ -644,7 +639,6 @@ TEST_F(DurableStoreTest, DeviceLossAfterFailedFlushUsesTheShadow)
     DurableStore faulty(this->store(), &ops);
 
     engine::EngineOptions with_disk;
-    with_disk.engine_threads = 1;
     with_disk.platform.num_devices = 2;
     with_disk.checkpoint_interval = 1;
     with_disk.faults = fault;
@@ -804,7 +798,6 @@ TEST_F(DurableStoreTest,
 
     JobJournal journal(store.journalPath());
     engine::EngineOptions opts;
-    opts.engine_threads = 1;
     engine::ServiceConfig sconfig;
     sconfig.session_threads = 1;
     sconfig.journal = &journal;

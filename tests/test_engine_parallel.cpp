@@ -1,18 +1,22 @@
 /**
  * @file
- * The parallel wave execution engine: results must be bit-identical for
- * every engine_threads value (the wave-snapshot + ordered-barrier design
- * guarantee), and the incremental activation bookkeeping (per-path
- * counters, worklists, stale queues and their pending flags) must stay
- * consistent across dispatch patterns, lane runs and device-loss
- * recovery.
+ * The wave engine runs each wave's dispatches one at a time in
+ * Dispatcher::waveOrder(), so a run is a function of its input alone:
+ * fresh engines, reruns and traced runs agree bit for bit, down to the
+ * trace's event sequence. The incremental activation bookkeeping
+ * (per-path counters, worklists, stale queues and their pending flags)
+ * must stay consistent across dispatch patterns, lane runs and
+ * device-loss recovery.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "algorithms/factory.hpp"
 #include "algorithms/multi_source.hpp"
 #include "engine/digraph_engine.hpp"
+#include "engine/dispatcher.hpp"
 #include "gpusim/fault.hpp"
 #include "metrics/trace.hpp"
 #include "test_util.hpp"
@@ -20,15 +24,7 @@
 namespace digraph {
 namespace {
 
-engine::EngineOptions
-optionsWithThreads(std::size_t threads)
-{
-    engine::EngineOptions opts;
-    opts.engine_threads = threads;
-    return opts;
-}
-
-/** Fields that must match bit-for-bit between thread counts. */
+/** Fields that must match bit-for-bit between runs of one input. */
 void
 expectIdenticalReports(const metrics::RunReport &a,
                        const metrics::RunReport &b,
@@ -36,8 +32,7 @@ expectIdenticalReports(const metrics::RunReport &a,
 {
     ASSERT_EQ(a.final_state.size(), b.final_state.size()) << label;
     for (std::size_t v = 0; v < a.final_state.size(); ++v) {
-        // Bitwise, not near: the barrier replays master merges in
-        // dispatch order, so even float accumulation must agree.
+        // Bitwise, not near: even float accumulation must agree.
         EXPECT_EQ(a.final_state[v], b.final_state[v])
             << label << ": vertex " << v;
     }
@@ -55,77 +50,87 @@ expectIdenticalReports(const metrics::RunReport &a,
     EXPECT_EQ(a.comm_cycles, b.comm_cycles) << label;
 }
 
-TEST(ParallelWaves, ThreadCountDoesNotChangeResults)
+TEST(WaveOrder, PermutesTheBatchAndKeepsItsHead)
+{
+    // The wave order regroups a batch into vertex-disjoint chunks; it
+    // never drops, duplicates or demotes the highest-priority partition.
+    bool reordered = false;
+    for (auto &ng : test::testGraphs()) {
+        const engine::DiGraphEngine eng(ng.graph);
+        const auto &sched = eng.substrate()->dispatcher;
+        std::vector<PartitionId> batch(eng.preprocessed().numPartitions());
+        for (PartitionId q = 0; q < batch.size(); ++q)
+            batch[q] = static_cast<PartitionId>(batch.size() - 1 - q);
+        auto order = batch;
+        sched.waveOrder(order);
+        ASSERT_EQ(order.size(), batch.size()) << ng.name;
+        EXPECT_EQ(order.front(), batch.front()) << ng.name;
+        reordered |= order != batch;
+        std::sort(order.begin(), order.end());
+        std::sort(batch.begin(), batch.end());
+        EXPECT_EQ(order, batch) << ng.name;
+    }
+    EXPECT_TRUE(reordered);
+}
+
+TEST(SerialWaves, FreshEnginesAgreeOnEveryTestGraph)
 {
     for (auto &ng : test::testGraphs()) {
         for (const char *algo_name : {"pagerank", "sssp", "wcc"}) {
             const auto algo =
                 algorithms::makeAlgorithm(algo_name, ng.graph);
-
-            engine::DiGraphEngine serial(ng.graph, optionsWithThreads(1));
-            const auto base = serial.run(*algo);
-            EXPECT_EQ(base.engine_threads, 1u);
-
-            for (const std::size_t threads : {2ul, 4ul}) {
-                engine::DiGraphEngine parallel(ng.graph,
-                                               optionsWithThreads(threads));
-                const auto got = parallel.run(*algo);
-                EXPECT_EQ(got.engine_threads, threads);
-                expectIdenticalReports(
-                    base, got,
-                    ng.name + "/" + algo_name + "/threads=" +
-                        std::to_string(threads));
-            }
+            engine::DiGraphEngine first(ng.graph);
+            engine::DiGraphEngine second(ng.graph);
+            expectIdenticalReports(first.run(*algo), second.run(*algo),
+                                   ng.name + "/" + algo_name);
         }
     }
 }
 
-TEST(ParallelWaves, TracingDoesNotChangeResultsAtAnyThreadCount)
+TEST(SerialWaves, TracedRunsRecordTheSameEventSequence)
 {
     const auto g = graph::makeDataset(graph::Dataset::dblp, 0.2);
     const auto algo = algorithms::makeAlgorithm("sssp", g);
 
-    engine::DiGraphEngine plain(g, optionsWithThreads(1));
+    engine::DiGraphEngine plain(g);
     const auto base = plain.run(*algo);
 
-    metrics::CounterRegistry serial_counters;
-    for (const std::size_t threads : {1ul, 2ul, 4ul}) {
-        auto opts = optionsWithThreads(threads);
+    std::vector<metrics::TraceEvent> events[2];
+    for (auto &recorded : events) {
         metrics::TraceSink sink;
+        engine::EngineOptions opts;
         opts.trace = &sink;
         engine::DiGraphEngine traced(g, opts);
         const auto got = traced.run(*algo);
-        expectIdenticalReports(base, got,
-                               "traced/threads=" +
-                                   std::to_string(threads));
-        // Counter totals and per-type event counts must not depend on
-        // the thread count (event *order* may).
+        expectIdenticalReports(base, got, "traced");
         EXPECT_TRUE(sink.counters() ==
                     metrics::CounterRegistry::fromReport(got));
-        if (threads == 1) {
-            serial_counters = sink.counters();
-        } else {
-            EXPECT_TRUE(sink.counters() == serial_counters)
-                << "threads=" << threads;
-        }
+        recorded = sink.events();
+    }
+    // Everything but the wall-clock stamps is a function of the input.
+    ASSERT_EQ(events[0].size(), events[1].size());
+    ASSERT_FALSE(events[0].empty());
+    for (std::size_t i = 0; i < events[0].size(); ++i) {
+        const auto &a = events[0][i];
+        const auto &b = events[1][i];
+        ASSERT_EQ(a.type, b.type) << "event " << i;
+        ASSERT_EQ(a.wave, b.wave) << "event " << i;
+        ASSERT_EQ(a.partition, b.partition) << "event " << i;
+        ASSERT_EQ(a.sim_begin, b.sim_begin) << "event " << i;
+        ASSERT_EQ(a.sim_dur, b.sim_dur) << "event " << i;
+        ASSERT_EQ(a.arg0, b.arg0) << "event " << i;
+        ASSERT_EQ(a.arg1, b.arg1) << "event " << i;
     }
 }
 
-TEST(ParallelWaves, RerunOnSameEngineIsReproducible)
+TEST(SerialWaves, RerunOnSameEngineIsReproducible)
 {
     const auto g = test::testGraphs()[6].graph; // "random"
     const auto algo = algorithms::makeAlgorithm("pagerank", g);
-    engine::DiGraphEngine eng(g, optionsWithThreads(4));
+    engine::DiGraphEngine eng(g);
     const auto first = eng.run(*algo);
     const auto second = eng.run(*algo);
     expectIdenticalReports(first, second, "rerun");
-}
-
-TEST(ParallelWaves, ThreadsZeroResolvesToHardwareConcurrency)
-{
-    const auto g = graph::makeChain(8, 1.0);
-    engine::DiGraphEngine eng(g, optionsWithThreads(0));
-    EXPECT_GE(eng.engineThreads(), 1u);
 }
 
 /** The incremental activation structures must agree with a full recount
@@ -135,7 +140,7 @@ TEST(ActivationBookkeeping, ConsistentAfterConvergence)
 {
     for (auto &ng : test::testGraphs()) {
         const auto algo = algorithms::makeAlgorithm("pagerank", ng.graph);
-        engine::DiGraphEngine eng(ng.graph, optionsWithThreads(2));
+        engine::DiGraphEngine eng(ng.graph);
         (void)eng.run(*algo);
         EXPECT_TRUE(eng.activationBookkeepingConsistent()) << ng.name;
     }
@@ -151,7 +156,6 @@ TEST(ActivationBookkeeping, ConsistentUnderForcedRedispatch)
         const auto algo = algorithms::makeAlgorithm(algo_name, g);
 
         engine::EngineOptions opts;
-        opts.engine_threads = 2;
         opts.max_local_rounds = 1;
         engine::DiGraphEngine eng(g, opts);
         const auto report = eng.run(*algo);
@@ -159,7 +163,7 @@ TEST(ActivationBookkeeping, ConsistentUnderForcedRedispatch)
 
         // The truncated dispatches must still reach the same fixed
         // point as the unconstrained engine.
-        engine::DiGraphEngine ref_eng(g, optionsWithThreads(1));
+        engine::DiGraphEngine ref_eng(g);
         const auto ref = ref_eng.run(*algo);
         test::expectStatesNear(report.final_state, ref.final_state,
                                algo->resultTolerance(),
@@ -176,17 +180,14 @@ TEST(ActivationBookkeeping, ConsistentOnEightLanePpr)
     for (VertexId i = 0; i < 8; ++i)
         seeds.push_back(i * (g.numVertices() / 8));
     const algorithms::Ppr ppr(seeds);
-    for (const std::size_t threads : {1ul, 2ul}) {
-        auto opts = optionsWithThreads(threads);
-        opts.max_local_rounds = 1;
-        engine::DiGraphEngine eng(g, opts);
-        const auto report = eng.run(ppr);
-        EXPECT_EQ(report.value_lanes, 8u);
-        EXPECT_TRUE(eng.activationBookkeepingConsistent())
-            << "threads=" << threads;
-        const auto inv = eng.postRunLaneInvariants(ppr);
-        EXPECT_TRUE(inv.ok()) << inv.detail;
-    }
+    engine::EngineOptions opts;
+    opts.max_local_rounds = 1;
+    engine::DiGraphEngine eng(g, opts);
+    const auto report = eng.run(ppr);
+    EXPECT_EQ(report.value_lanes, 8u);
+    EXPECT_TRUE(eng.activationBookkeepingConsistent());
+    const auto inv = eng.postRunLaneInvariants(ppr);
+    EXPECT_TRUE(inv.ok()) << inv.detail;
 }
 
 TEST(ActivationBookkeeping, ConsistentAfterDeviceLossRecovery)
@@ -196,7 +197,7 @@ TEST(ActivationBookkeeping, ConsistentAfterDeviceLossRecovery)
     const auto g = graph::makeDataset(graph::Dataset::dblp, 0.2);
     for (const char *algo_name : {"pagerank", "sssp"}) {
         const auto algo = algorithms::makeAlgorithm(algo_name, g);
-        engine::EngineOptions opts = optionsWithThreads(2);
+        engine::EngineOptions opts;
         opts.platform.num_devices = 2;
         engine::DiGraphEngine clean(g, opts);
         const auto want = clean.run(*algo);

@@ -259,9 +259,9 @@ TEST(AppendPreprocess, ReusesStructuresAndStaysValid)
 TEST(AppendPreprocess, BitIdenticalAcrossThreadCounts)
 {
     // The batch decomposition splits into a FIXED number of subgraphs
-    // (kAppendSubgraphs), not one per worker thread, so honoring
-    // engine_threads cannot change the derived path set: the appended
-    // structures must be bitwise identical for every thread count.
+    // (kAppendSubgraphs), not one per worker thread, so the worker count
+    // cannot change the derived path set: the appended structures must
+    // be bitwise identical for every thread count.
     const auto base = testGraph(83, 300, 1500);
     SplitMix64 rng(84);
     const auto batch = randomBatch(rng, 320, 80);
@@ -516,16 +516,18 @@ TEST(EvolvingIncremental, RebuildFractionGuardTriggersFullPipeline)
 
 // ------------------------------------------------- determinism
 
-TEST(EvolvingIncremental, BitIdenticalAcrossEngineThreads)
+TEST(EvolvingIncremental, BitIdenticalAcrossDecomposeThreads)
 {
-    // The determinism contract (PR 1) extends to the incremental path:
-    // structures and results must be bit-identical for every
-    // engine_threads value.
+    // The incremental path is deterministic in its worker count: with
+    // the base decomposition's subgraph split fixed (the appended batch
+    // always splits into kAppendSubgraphs), structures and results must
+    // be bit-identical for every preprocess.decompose.num_threads.
     std::vector<std::vector<Value>> per_thread_results;
     std::vector<std::vector<std::uint32_t>> per_thread_offsets;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const unsigned threads : {1u, 4u}) {
         engine::EngineOptions opts = smallOptions();
-        opts.engine_threads = threads;
+        opts.preprocess.decompose.num_subgraphs = 4;
+        opts.preprocess.decompose.num_threads = threads;
         engine::EvolvingEngine evolving(testGraph(85), opts);
         const algorithms::Sssp sssp(0);
         evolving.run(sssp);
@@ -549,7 +551,7 @@ TEST(EvolvingIncremental, BitIdenticalAcrossEngineThreads)
             << "state diverged at flat index " << i;
     }
     EXPECT_EQ(per_thread_offsets[0], per_thread_offsets[1])
-        << "incremental structures must not depend on engine_threads";
+        << "incremental structures must not depend on the worker count";
 }
 
 // ------------------------------------------------- fig11-style smoke

@@ -6,7 +6,7 @@
  * The headline property: a run that loses a device mid-flight must
  * converge to the same fixed point as the fault-free run — bit-identical
  * for monotone algorithms, within the algorithm's result tolerance for
- * accumulative ones — at every engine_threads value, and its
+ * accumulative ones — and reproducible bit for bit, and its
  * fault/retry/checkpoint/recovery counters must equal the trace event
  * counts.
  */
@@ -27,11 +27,9 @@ namespace digraph {
 namespace {
 
 engine::EngineOptions
-faultOptions(const std::string &spec, unsigned gpus = 2,
-             std::size_t threads = 1)
+faultOptions(const std::string &spec, unsigned gpus = 2)
 {
     engine::EngineOptions opts;
-    opts.engine_threads = threads;
     opts.platform.num_devices = gpus;
     if (!spec.empty()) {
         std::string err;
@@ -237,25 +235,19 @@ TEST(FaultTolerance, DeviceLossConvergesToFaultFreeResult)
     }
 }
 
-TEST(FaultTolerance, FaultedRunsAreThreadCountInvariant)
+TEST(FaultTolerance, FaultedRunsAgreeAcrossFreshEngines)
 {
     const auto g = graph::makeDataset(graph::Dataset::dblp, 0.2);
     for (const char *name : {"sssp", "pagerank"}) {
         const auto algo = algorithms::makeAlgorithm(name, g);
         const std::string spec = "seed=11,device=1@1000,xfer=0.02";
 
-        engine::DiGraphEngine serial(g, faultOptions(spec, 2, 1));
-        const auto base = serial.run(*algo);
+        engine::DiGraphEngine first(g, faultOptions(spec));
+        const auto base = first.run(*algo);
         EXPECT_GE(base.recoveries, 1u) << name;
 
-        for (const std::size_t threads : {2ul, 4ul}) {
-            engine::DiGraphEngine parallel(
-                g, faultOptions(spec, 2, threads));
-            const auto got = parallel.run(*algo);
-            expectIdenticalReports(base, got,
-                                   std::string(name) + "/threads=" +
-                                       std::to_string(threads));
-        }
+        engine::DiGraphEngine second(g, faultOptions(spec));
+        expectIdenticalReports(base, second.run(*algo), name);
     }
 }
 

@@ -2,8 +2,7 @@
  * @file
  * Golden single-job bit-identity harness: replays the checked-in
  * fixtures under tests/fixtures/golden/ — produced by the PRE-refactor
- * monolithic engine — against the layered engine, at several
- * engine_threads values.
+ * monolithic engine — against the layered engine.
  *
  * Discrete algorithms (sssp, wcc, kcore, bfs) must match every fixture
  * double BIT FOR BIT, counters included. The accumulative family
@@ -15,6 +14,8 @@
  * The hub_* fixtures replay pagerank and sssp on the twitter stand-in at
  * scale 0.02, whose hubs are mirrored by more than 32 partitions; both
  * are held bit for bit (see golden_fixture_gen.cpp for their origin).
+ * The longdist_* fixtures pin the wave dispatch order of every factory
+ * algorithm on the longdist test graph, bit for bit.
  */
 
 #include <cstdint>
@@ -31,6 +32,7 @@
 #include "algorithms/hits.hpp"
 #include "engine/digraph_engine.hpp"
 #include "graph/generators.hpp"
+#include "test_util.hpp"
 
 namespace digraph {
 namespace {
@@ -123,12 +125,11 @@ loadFixture(const std::string &algo, const std::string &mode)
 
 metrics::RunReport
 runGolden(const graph::DirectedGraph &g, const std::string &algo_name,
-          engine::ExecutionMode mode, std::size_t threads)
+          engine::ExecutionMode mode)
 {
     engine::EngineOptions opts;
     opts.mode = mode;
     opts.platform = smallPlatform();
-    opts.engine_threads = threads;
     engine::DiGraphEngine eng(g, opts);
     const auto algo = algorithms::makeAlgorithm(algo_name, g);
     return eng.run(*algo);
@@ -167,21 +168,16 @@ expectTolerance(const Fixture &fx, const metrics::RunReport &report,
     }
 }
 
-const std::vector<std::size_t> kThreadCounts = {1, 2, 4, 8};
-
 // ------------------------------------------------- bitwise algorithms
 
-TEST(GoldenIdentity, BitwiseAlgorithmsEveryThreadCount)
+TEST(GoldenIdentity, BitwiseAlgorithms)
 {
     const auto g = goldenGraph();
     for (const std::string algo : {"sssp", "kcore", "bfs", "wcc"}) {
         const Fixture fx = loadFixture(algo, "digraph");
-        for (const std::size_t threads : kThreadCounts) {
-            const auto report = runGolden(
-                g, algo, engine::ExecutionMode::PathAsync, threads);
-            expectBitwise(fx, report,
-                          algo + " threads=" + std::to_string(threads));
-        }
+        const auto report =
+            runGolden(g, algo, engine::ExecutionMode::PathAsync);
+        expectBitwise(fx, report, algo);
     }
 }
 
@@ -200,7 +196,7 @@ TEST(GoldenIdentity, BitwiseAlternateModes)
           Case{"wcc", engine::ExecutionMode::PathNoSched, "digraph-w"},
           Case{"wcc", engine::ExecutionMode::VertexAsync, "digraph-t"}}) {
         const Fixture fx = loadFixture(c.algo, c.mode_name);
-        const auto report = runGolden(g, c.algo, c.mode, 2);
+        const auto report = runGolden(g, c.algo, c.mode);
         expectBitwise(fx, report,
                       std::string(c.algo) + " " + c.mode_name);
     }
@@ -213,13 +209,9 @@ TEST(GoldenIdentity, AccumulativeAlgorithmsWithinTolerance)
     const auto g = goldenGraph();
     for (const std::string algo : {"pagerank", "adsorption", "katz"}) {
         const Fixture fx = loadFixture(algo, "digraph");
-        for (const std::size_t threads : kThreadCounts) {
-            const auto report = runGolden(
-                g, algo, engine::ExecutionMode::PathAsync, threads);
-            expectTolerance(fx, report,
-                            algo + " threads=" +
-                                std::to_string(threads));
-        }
+        const auto report =
+            runGolden(g, algo, engine::ExecutionMode::PathAsync);
+        expectTolerance(fx, report, algo);
     }
 }
 
@@ -230,14 +222,14 @@ TEST(GoldenIdentity, PagerankAlternateModesWithinTolerance)
          {std::pair{engine::ExecutionMode::PathNoSched, "digraph-w"},
           std::pair{engine::ExecutionMode::VertexAsync, "digraph-t"}}) {
         const Fixture fx = loadFixture("pagerank", name);
-        const auto report = runGolden(g, "pagerank", mode, 2);
+        const auto report = runGolden(g, "pagerank", mode);
         expectTolerance(fx, report, std::string("pagerank ") + name);
     }
 }
 
 // ----------------------------------------------------------- hub graph
 
-TEST(GoldenIdentity, HubGraphBitwiseEveryThreadCount)
+TEST(GoldenIdentity, HubGraphBitwise)
 {
     // The twitter stand-in replicates its hubs across more than 32
     // partitions, so every master change there fans out to that many
@@ -248,26 +240,43 @@ TEST(GoldenIdentity, HubGraphBitwiseEveryThreadCount)
     const auto g = graph::makeDataset(graph::Dataset::twitter, 0.02);
     for (const std::string algo : {"pagerank", "sssp"}) {
         const Fixture fx = loadFixture("hub_" + algo, "digraph");
-        for (const std::size_t threads : kThreadCounts) {
-            engine::EngineOptions opts;
-            opts.platform = smallPlatform();
-            opts.engine_threads = threads;
-            engine::DiGraphEngine eng(g, opts);
-            if (algo == "pagerank" && threads == 1) {
-                const auto &sync = eng.substrate()->sync;
-                std::size_t hubs = 0;
-                for (VertexId v = 0; v < g.numVertices(); ++v)
-                    hubs += sync.mirrorPartitions(v).size() > 32;
-                EXPECT_GT(hubs, 0u) << "no vertex has > 32 mirrors";
-            }
-            const auto report =
-                eng.run(*algorithms::makeAlgorithm(algo, g));
-            expectBitwise(fx, report,
-                          "hub " + algo + " threads=" +
-                              std::to_string(threads));
-            EXPECT_TRUE(eng.activationBookkeepingConsistent())
-                << "hub " << algo << " threads=" << threads;
+        engine::EngineOptions opts;
+        opts.platform = smallPlatform();
+        engine::DiGraphEngine eng(g, opts);
+        if (algo == "pagerank") {
+            const auto &sync = eng.substrate()->sync;
+            std::size_t hubs = 0;
+            for (VertexId v = 0; v < g.numVertices(); ++v)
+                hubs += sync.mirrorPartitions(v).size() > 32;
+            EXPECT_GT(hubs, 0u) << "no vertex has > 32 mirrors";
         }
+        const auto report = eng.run(*algorithms::makeAlgorithm(algo, g));
+        expectBitwise(fx, report, "hub " + algo);
+        EXPECT_TRUE(eng.activationBookkeepingConsistent()) << "hub " << algo;
+    }
+}
+
+// ---------------------------------------------------- wave dispatch order
+
+TEST(GoldenIdentity, LongdistGraphPinsWaveOrder)
+{
+    // On the locality-windowed longdist graph, waves group
+    // vertex-disjoint partitions into shared Dispatcher::waveOrder()
+    // chunks, so the wave order differs from batch order and running a
+    // wave in batch order changes every algorithm's result. Each is held
+    // bit for bit, sim cycles included.
+    graph::DirectedGraph g;
+    for (auto &named : test::testGraphs()) {
+        if (named.name == "longdist")
+            g = std::move(named.graph);
+    }
+    ASSERT_EQ(g.numVertices(), 400u);
+    for (const std::string algo : {"pagerank", "adsorption", "sssp",
+                                   "kcore", "katz", "bfs", "wcc"}) {
+        const Fixture fx = loadFixture("longdist_" + algo, "digraph");
+        const auto report =
+            runGolden(g, algo, engine::ExecutionMode::PathAsync);
+        expectBitwise(fx, report, "longdist " + algo);
     }
 }
 

@@ -2,12 +2,11 @@
  * @file
  * GraphService: the long-lived session with two-level job scheduling
  * (DESIGN.md §15). Under test: the pure inter-job policy (priority /
- * quota / budget / co-scheduling decisions of scheduleJobs and the
- * fairThreadShare split), service-level priority ordering, per-tenant
- * quota enforcement, admission rejection, and the core preemption
- * contract — a job parked at wave boundaries converges bit-identical
- * to an uninterrupted dedicated run, per algorithm family, at several
- * session thread counts.
+ * quota / budget / co-scheduling decisions of scheduleJobs),
+ * service-level priority ordering, per-tenant quota enforcement,
+ * admission rejection, and the core preemption contract — a job parked
+ * at wave boundaries converges bit-identical to an uninterrupted
+ * dedicated run, per algorithm family.
  *
  * Timing note: integration tests that need jobs to queue submit a
  * long-running pagerank first; the competing submissions land within
@@ -16,6 +15,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,8 +61,8 @@ expectSameReport(const metrics::RunReport &a, const metrics::RunReport &b,
 }
 
 // ---------------------------------------------------------------------
-// Pure policy: scheduleJobs / fairThreadShare are deterministic
-// functions of an explicit snapshot.
+// Pure policy: scheduleJobs is a deterministic function of an explicit
+// snapshot.
 // ---------------------------------------------------------------------
 
 engine::SchedJob
@@ -84,7 +84,6 @@ TEST(JobScheduler, PriorityThenFifoThenId)
     engine::SchedSnapshot snap;
     snap.waiting = {waiting(0, 0, 0), waiting(1, 5, 2),
                     waiting(2, 5, 1), waiting(3, 1, 3)};
-    snap.free_threads = 2;
     snap.tenant_started = {0};
 
     const auto grants = engine::scheduleJobs(policy, snap);
@@ -104,7 +103,6 @@ TEST(JobScheduler, TenantQuotaSkipsButDoesNotBlockOthers)
     snap.waiting = {waiting(1, 5, 0, /*tenant=*/0),
                     waiting(2, 1, 1, /*tenant=*/1)};
     snap.running_jobs = 1;
-    snap.free_threads = 3;
     snap.tenant_started = {1, 0};
 
     const auto grants = engine::scheduleJobs(policy, snap);
@@ -128,7 +126,6 @@ TEST(JobScheduler, StartedJobsAlwaysReadmissible)
     snap.waiting = {parked};
     snap.charged_bytes = 100;
     snap.tenant_started = {1};
-    snap.free_threads = 1;
 
     const auto grants = engine::scheduleJobs(policy, snap);
     ASSERT_EQ(grants.size(), 1u);
@@ -146,7 +143,6 @@ TEST(JobScheduler, ByteBudgetBlocksUnstartedJobs)
     auto b = waiting(1, 0, 1);
     b.state_bytes = 100;
     snap.waiting = {a, b};
-    snap.free_threads = 2;
     snap.tenant_started = {0};
 
     // Only one fits: 100 + 100 > 150.
@@ -172,7 +168,6 @@ TEST(JobScheduler, CoSchedulePrefersOverlappingWorklist)
     snap.waiting = {a, b};
     snap.running_worklists = {&running_wl};
     snap.running_jobs = 1;
-    snap.free_threads = 2;
     snap.tenant_started = {0};
 
     auto grants = engine::scheduleJobs(policy, snap);
@@ -185,20 +180,6 @@ TEST(JobScheduler, CoSchedulePrefersOverlappingWorklist)
     grants = engine::scheduleJobs(policy, snap);
     ASSERT_EQ(grants.size(), 2u);
     EXPECT_EQ(grants[0].id, 0u);
-}
-
-TEST(JobScheduler, FairThreadShareDividesWithRemainder)
-{
-    engine::SchedulerPolicy policy;
-    policy.session_threads = 8;
-    EXPECT_EQ(engine::fairThreadShare(policy, 0, 1), 8u);
-    EXPECT_EQ(engine::fairThreadShare(policy, 0, 2), 4u);
-    EXPECT_EQ(engine::fairThreadShare(policy, 1, 2), 4u);
-    EXPECT_EQ(engine::fairThreadShare(policy, 0, 3), 3u);
-    EXPECT_EQ(engine::fairThreadShare(policy, 1, 3), 3u);
-    EXPECT_EQ(engine::fairThreadShare(policy, 2, 3), 2u);
-    // Never below 1, even oversubscribed.
-    EXPECT_EQ(engine::fairThreadShare(policy, 11, 12), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -323,45 +304,40 @@ TEST(GraphService, PreemptedRunsBitIdenticalPerFamily)
         reference.push_back(eng.run(*algo));
     }
 
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-        engine::ServiceConfig config;
-        config.session_threads = threads;
-        config.quantum_waves = 1; // maximum preemption pressure
-        engine::GraphService service(g, opts, config);
-        for (const auto &spec : specs)
-            service.addJobAsync(spec);
-        const auto results = service.drain();
-        ASSERT_EQ(results.size(), specs.size());
+    // Two slots for four jobs: jobs run side by side AND park.
+    engine::ServiceConfig config;
+    config.session_threads = 2;
+    config.quantum_waves = 1; // maximum preemption pressure
+    engine::GraphService service(g, opts, config);
+    for (const auto &spec : specs)
+        service.addJobAsync(spec);
+    const auto results = service.drain();
+    ASSERT_EQ(results.size(), specs.size());
 
-        std::uint64_t parked = 0;
-        for (const auto &job : results) {
-            const auto ref =
-                std::find(specs.begin(), specs.end(), job.spec) -
-                specs.begin();
-            expectSameReport(job.report, reference[ref],
-                             job.spec + " @" +
-                                 std::to_string(threads) + "t");
-            parked += job.times_parked;
-        }
-        // Fewer slots than jobs -> preemption actually happened, so
-        // the identity above is a real park/resume round-trip.
-        if (threads < specs.size()) {
-            EXPECT_GT(parked, 0u) << threads;
-            EXPECT_GT(service.stats().parks, 0u) << threads;
-        }
-        EXPECT_EQ(service.stats().completed, specs.size());
+    std::uint64_t parked = 0;
+    for (const auto &job : results) {
+        const auto ref =
+            std::find(specs.begin(), specs.end(), job.spec) -
+            specs.begin();
+        expectSameReport(job.report, reference[ref], job.spec);
+        parked += job.times_parked;
     }
+    // Fewer slots than jobs -> preemption actually happened, so the
+    // identity above is a real park/resume round-trip.
+    EXPECT_GT(parked, 0u);
+    EXPECT_GT(service.stats().parks, 0u);
+    EXPECT_EQ(service.stats().completed, specs.size());
 }
 
 TEST(GraphService, BatchModeRunsJobsConcurrently)
 {
     const auto g = testGraph();
-    auto opts = testOptions();
-    opts.engine_threads = 4;
     engine::ServiceConfig config;
     config.quantum_waves = 0; // batch: no preemption
-    engine::GraphService service(g, opts, config);
-    EXPECT_EQ(service.sessionThreads(), 4u);
+    engine::GraphService service(g, testOptions(), config);
+    // session_threads 0 resolves to one slot per hardware thread.
+    EXPECT_EQ(service.sessionThreads(),
+              std::max(1u, std::thread::hardware_concurrency()));
 
     service.addJobAsync("pagerank");
     service.addJobAsync("wcc");

@@ -3,9 +3,9 @@
  * JobManager: N concurrent algorithm jobs over ONE shared immutable
  * EngineSubstrate. The contract under test: per-job results are
  * bit-identical to dedicated single-job engines, independent of job
- * order and thread count; the substrate is genuinely shared (pointer
- * identity, paid once); and every job's counters equal its report
- * aggregates.
+ * order and across repeated drains; the substrate is genuinely shared
+ * (pointer identity, paid once); and every job's counters equal its
+ * report aggregates.
  */
 
 #include <algorithm>
@@ -107,25 +107,18 @@ TEST(JobManager, ResultsIndependentOfJobOrder)
     }
 }
 
-TEST(JobManager, ResultsIndependentOfThreadCount)
+TEST(JobManager, RepeatedDrainsAreIdentical)
 {
     const auto g = testGraph();
+    engine::JobManager manager(g, testOptions());
+    manager.addJobs("sssp:0,pagerank,wcc");
+    const auto first = manager.runAll();
+    const auto second = manager.runAll();
 
-    auto serial_opts = testOptions();
-    serial_opts.engine_threads = 1;
-    engine::JobManager serial(g, serial_opts);
-    serial.addJobs("sssp:0,pagerank,wcc");
-    const auto one = serial.runAll();
-
-    auto wide_opts = testOptions();
-    wide_opts.engine_threads = 4;
-    engine::JobManager wide(g, wide_opts);
-    wide.addJobs("sssp:0,pagerank,wcc");
-    const auto four = wide.runAll();
-
-    ASSERT_EQ(one.size(), four.size());
-    for (std::size_t i = 0; i < one.size(); ++i)
-        expectSameReport(one[i].report, four[i].report, one[i].spec);
+    ASSERT_EQ(first.size(), second.size());
+    for (std::size_t i = 0; i < first.size(); ++i)
+        expectSameReport(first[i].report, second[i].report,
+                         first[i].spec);
 }
 
 TEST(JobManager, AdoptedSubstrateIsSharedByPointer)
@@ -228,36 +221,6 @@ TEST(JobManagerDeathTest, AdoptRejectsVertexCountMismatch)
     ASSERT_EQ(sub->pre.paths.numEdges(), b.numEdges());
     EXPECT_EXIT(engine::JobManager(b, sub, opts),
                 ::testing::ExitedWithCode(1), "vertices");
-}
-
-TEST(JobManager, SessionThreadsDividedAcrossJobs)
-{
-    const auto g = testGraph();
-
-    // The old behavior forced engine_threads = 1 for EVERY job the
-    // moment more than one was queued; the session budget must instead
-    // be divided across in-flight jobs (the first grant takes the free
-    // budget, later grants rebalance at wave boundaries).
-    auto opts = testOptions();
-    opts.engine_threads = 8;
-    engine::JobManager manager(g, opts);
-    manager.addJobs("pagerank,wcc");
-    const auto results = manager.runAll();
-    ASSERT_EQ(results.size(), 2u);
-    bool some_parallel = false;
-    for (const auto &job : results) {
-        EXPECT_GE(job.report.engine_threads, 1u) << job.spec;
-        EXPECT_LE(job.report.engine_threads, 8u) << job.spec;
-        some_parallel |= job.report.engine_threads > 1;
-    }
-    EXPECT_TRUE(some_parallel);
-
-    // And the division must not be observable in the results.
-    for (const auto &job : results) {
-        engine::DiGraphEngine eng(g, testOptions());
-        const auto algo = algorithms::makeAlgorithmSpec(job.spec, g);
-        expectSameReport(job.report, eng.run(*algo), job.spec);
-    }
 }
 
 } // namespace

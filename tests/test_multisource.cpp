@@ -3,7 +3,7 @@
  * Batched multi-source (lane) execution: every lane of a K-wide run
  * must equal the corresponding single-source run — bitwise for the
  * monotone msbfs lanes, within resultTolerance() for the accumulative
- * ppr lanes — at every engine_threads value; a K = 1 lane run must be
+ * ppr lanes; a K = 1 lane run must be
  * bit-identical (states AND counters) to the scalar engine; and lane
  * jobs must run as ordinary batch jobs through the GraphService path.
  */
@@ -23,10 +23,9 @@ namespace digraph {
 namespace {
 
 engine::EngineOptions
-laneOptions(std::size_t threads)
+laneOptions()
 {
     engine::EngineOptions opts;
-    opts.engine_threads = threads;
     opts.verify_invariants = true; // lane invariant checker on, always
     return opts;
 }
@@ -60,23 +59,18 @@ TEST(MultiSourceLanes, EveryMsBfsLaneMatchesScalarBfsBitwise)
     for (auto &ng : test::testGraphs()) {
         const auto sources = pickSources(ng.graph.numVertices(), 5);
         const algorithms::MsBfs batched(sources);
-        for (const std::size_t threads : {1ul, 2ul, 4ul}) {
-            engine::DiGraphEngine eng(ng.graph, laneOptions(threads));
-            const auto report = eng.run(batched);
-            ASSERT_EQ(report.value_lanes, sources.size());
-            ASSERT_EQ(report.lane_states.size(), sources.size());
-            for (std::size_t l = 0; l < sources.size(); ++l) {
-                const algorithms::Bfs oracle(sources[l]);
-                engine::DiGraphEngine ref(ng.graph, laneOptions(1));
-                const auto want = ref.run(oracle);
-                // Monotone min-plus lanes: bitwise, not near.
-                expectStatesBitwise(report.lane_states[l],
-                                    want.final_state,
-                                    ng.name + "/msbfs lane " +
-                                        std::to_string(l) +
-                                        "/threads=" +
-                                        std::to_string(threads));
-            }
+        engine::DiGraphEngine eng(ng.graph, laneOptions());
+        const auto report = eng.run(batched);
+        ASSERT_EQ(report.value_lanes, sources.size());
+        ASSERT_EQ(report.lane_states.size(), sources.size());
+        for (std::size_t l = 0; l < sources.size(); ++l) {
+            const algorithms::Bfs oracle(sources[l]);
+            engine::DiGraphEngine ref(ng.graph, laneOptions());
+            const auto want = ref.run(oracle);
+            // Monotone min-plus lanes: bitwise, not near.
+            expectStatesBitwise(report.lane_states[l], want.final_state,
+                                ng.name + "/msbfs lane " +
+                                    std::to_string(l));
         }
     }
 }
@@ -86,25 +80,21 @@ TEST(MultiSourceLanes, EveryPprLaneMatchesSingleSeedOracle)
     for (auto &ng : test::testGraphs()) {
         const auto seeds = pickSources(ng.graph.numVertices(), 4);
         const algorithms::Ppr batched(seeds);
-        for (const std::size_t threads : {1ul, 2ul, 4ul}) {
-            engine::DiGraphEngine eng(ng.graph, laneOptions(threads));
-            const auto report = eng.run(batched);
-            ASSERT_EQ(report.value_lanes, seeds.size());
-            for (std::size_t l = 0; l < seeds.size(); ++l) {
-                const algorithms::PprSingle oracle(seeds[l]);
-                engine::DiGraphEngine ref(ng.graph, laneOptions(1));
-                const auto want = ref.run(oracle);
-                // Accumulative family: lanes and the scalar oracle may
-                // truncate different sub-epsilon residuals, so compare
-                // within the algorithm's result tolerance.
-                test::expectStatesNear(report.lane_states[l],
-                                       want.final_state,
-                                       batched.resultTolerance(),
-                                       ng.name + "/ppr lane " +
-                                           std::to_string(l) +
-                                           "/threads=" +
-                                           std::to_string(threads));
-            }
+        engine::DiGraphEngine eng(ng.graph, laneOptions());
+        const auto report = eng.run(batched);
+        ASSERT_EQ(report.value_lanes, seeds.size());
+        for (std::size_t l = 0; l < seeds.size(); ++l) {
+            const algorithms::PprSingle oracle(seeds[l]);
+            engine::DiGraphEngine ref(ng.graph, laneOptions());
+            const auto want = ref.run(oracle);
+            // Accumulative family: lanes and the scalar oracle may
+            // truncate different sub-epsilon residuals, so compare
+            // within the algorithm's result tolerance.
+            test::expectStatesNear(report.lane_states[l],
+                                   want.final_state,
+                                   batched.resultTolerance(),
+                                   ng.name + "/ppr lane " +
+                                       std::to_string(l));
         }
     }
 }
@@ -141,17 +131,12 @@ TEST(MultiSourceLanes, SingleLaneMsBfsIsBitIdenticalToScalarBfs)
         const VertexId src = ng.graph.numVertices() / 3;
         const algorithms::MsBfs batched({src});
         const algorithms::Bfs scalar(src);
-        for (const std::size_t threads : {1ul, 2ul}) {
-            engine::DiGraphEngine lane_eng(ng.graph,
-                                           laneOptions(threads));
-            const auto lane = lane_eng.run(batched);
-            engine::DiGraphEngine ref(ng.graph, laneOptions(threads));
-            const auto want = ref.run(scalar);
-            EXPECT_EQ(lane.value_lanes, 1u);
-            expectIdenticalRuns(lane, want,
-                                ng.name + "/K=1 msbfs/threads=" +
-                                    std::to_string(threads));
-        }
+        engine::DiGraphEngine lane_eng(ng.graph, laneOptions());
+        const auto lane = lane_eng.run(batched);
+        engine::DiGraphEngine ref(ng.graph, laneOptions());
+        const auto want = ref.run(scalar);
+        EXPECT_EQ(lane.value_lanes, 1u);
+        expectIdenticalRuns(lane, want, ng.name + "/K=1 msbfs");
     }
 }
 
@@ -161,41 +146,32 @@ TEST(MultiSourceLanes, SingleLanePprIsBitIdenticalToScalarOracle)
         const VertexId seed = ng.graph.numVertices() / 2;
         const algorithms::Ppr batched({seed});
         const algorithms::PprSingle scalar(seed);
-        for (const std::size_t threads : {1ul, 2ul}) {
-            engine::DiGraphEngine lane_eng(ng.graph,
-                                           laneOptions(threads));
-            const auto lane = lane_eng.run(batched);
-            engine::DiGraphEngine ref(ng.graph, laneOptions(threads));
-            const auto want = ref.run(scalar);
-            expectIdenticalRuns(lane, want,
-                                ng.name + "/K=1 ppr/threads=" +
-                                    std::to_string(threads));
-        }
+        engine::DiGraphEngine lane_eng(ng.graph, laneOptions());
+        const auto lane = lane_eng.run(batched);
+        engine::DiGraphEngine ref(ng.graph, laneOptions());
+        const auto want = ref.run(scalar);
+        expectIdenticalRuns(lane, want, ng.name + "/K=1 ppr");
     }
 }
 
-TEST(MultiSourceLanes, ThreadCountDoesNotChangeBatchedResults)
+TEST(MultiSourceLanes, BatchedResultsAreReproducible)
 {
     const auto g = graph::makeDataset(graph::Dataset::dblp, 0.1);
     const auto sources = pickSources(g.numVertices(), 8);
     const algorithms::Ppr batched(sources);
 
-    engine::DiGraphEngine serial(g, laneOptions(1));
-    const auto base = serial.run(batched);
-    for (const std::size_t threads : {2ul, 4ul}) {
-        engine::DiGraphEngine parallel(g, laneOptions(threads));
-        const auto got = parallel.run(batched);
-        ASSERT_EQ(got.lane_states.size(), base.lane_states.size());
-        for (std::size_t l = 0; l < base.lane_states.size(); ++l) {
-            expectStatesBitwise(got.lane_states[l], base.lane_states[l],
-                                "ppr lane " + std::to_string(l) +
-                                    "/threads=" +
-                                    std::to_string(threads));
-        }
-        EXPECT_EQ(got.edge_processings, base.edge_processings);
-        EXPECT_EQ(got.sim_cycles, base.sim_cycles);
-        EXPECT_EQ(got.lane_converged_wave, base.lane_converged_wave);
+    engine::DiGraphEngine first(g, laneOptions());
+    const auto base = first.run(batched);
+    engine::DiGraphEngine second(g, laneOptions());
+    const auto got = second.run(batched);
+    ASSERT_EQ(got.lane_states.size(), base.lane_states.size());
+    for (std::size_t l = 0; l < base.lane_states.size(); ++l) {
+        expectStatesBitwise(got.lane_states[l], base.lane_states[l],
+                            "ppr lane " + std::to_string(l));
     }
+    EXPECT_EQ(got.edge_processings, base.edge_processings);
+    EXPECT_EQ(got.sim_cycles, base.sim_cycles);
+    EXPECT_EQ(got.lane_converged_wave, base.lane_converged_wave);
 }
 
 TEST(MultiSourceLanes, LaneConvergedWaveIsMonotoneInformation)
@@ -205,7 +181,7 @@ TEST(MultiSourceLanes, LaneConvergedWaveIsMonotoneInformation)
     const auto g = graph::makeDataset(graph::Dataset::dblp, 0.1);
     const auto sources = pickSources(g.numVertices(), 6);
     const algorithms::MsBfs batched(sources);
-    engine::DiGraphEngine eng(g, laneOptions(2));
+    engine::DiGraphEngine eng(g, laneOptions());
     const auto report = eng.run(batched);
     ASSERT_EQ(report.lane_converged_wave.size(), sources.size());
     for (const std::uint64_t w : report.lane_converged_wave)
@@ -235,9 +211,7 @@ TEST(MultiSourceLanes, ServiceRunsLaneJobsAsBatchClass)
     // submitted by spec, run over the shared substrate, reported with
     // per-lane states.
     const auto g = graph::makeDataset(graph::Dataset::dblp, 0.1);
-    engine::EngineOptions opts;
-    opts.engine_threads = 2;
-    engine::JobManager manager(g, opts);
+    engine::JobManager manager(g, engine::EngineOptions{});
     manager.addJobs("msbfs:0+5+9,pagerank,ppr:1+7");
     const auto results = manager.runAll(false);
     ASSERT_EQ(results.size(), 3u);
@@ -248,7 +222,7 @@ TEST(MultiSourceLanes, ServiceRunsLaneJobsAsBatchClass)
 
     // Each lane of the service job equals a direct single-source run.
     const algorithms::Bfs oracle(5);
-    engine::DiGraphEngine ref(g, laneOptions(1));
+    engine::DiGraphEngine ref(g, laneOptions());
     const auto want = ref.run(oracle);
     expectStatesBitwise(results[0].report.lane_states[1],
                         want.final_state, "service msbfs lane 1");

@@ -3,24 +3,16 @@
  * Wave-kernel registry tests (DESIGN.md §14):
  *
  *  1. every factory algorithm resolves to a SPECIALIZED kernel for every
- *     (execution mode x trace x delta_merge) combination — no virtual
- *     fallback — and the delta-merge flag engages exactly for the
- *     accumulative family;
+ *     (execution mode x trace) combination — no virtual fallback;
  *  2. the specialized hot loop provably never enters the virtual
  *     processing interface: a PageRank subclass that counts its virtual
  *     calls sees ZERO of them, while the same subclass opting out via
  *     kernelTag() == "" routes through the generic kernel and sees many
- *     — with bit-identical results either way;
- *  3. the lock-free delta-accumulative commit is equivalent to the
- *     ordered-replay oracle (delta_merge = false): identical work
- *     counters, identical simulated cycles, bit-identical final state,
- *     at every engine_threads value.
+ *     — with bit-identical results either way.
  */
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -62,9 +54,6 @@ bits(double v)
     return u;
 }
 
-const std::set<std::string> kAccumulative = {"pagerank", "katz",
-                                             "adsorption"};
-
 // ------------------------------------------------- registry coverage
 
 TEST(WaveKernels, EveryAlgorithmResolvesSpecializedEverywhere)
@@ -79,28 +68,18 @@ TEST(WaveKernels, EveryAlgorithmResolvesSpecializedEverywhere)
         const auto algo = algorithms::makeAlgorithm(name, g);
         for (const engine::ExecutionMode mode : modes) {
             for (const bool trace_on : {false, true}) {
-                for (const bool delta : {false, true}) {
-                    engine::EngineOptions opts;
-                    opts.mode = mode;
-                    opts.delta_merge = delta;
-                    const auto k = engine::resolveWaveKernel(
-                        *algo, opts, trace_on);
-                    const std::string label =
-                        name + " mode=" +
-                        std::to_string(static_cast<int>(mode)) +
-                        " trace=" + std::to_string(trace_on) +
-                        " delta=" + std::to_string(delta);
-                    EXPECT_TRUE(k.specialized) << label;
-                    EXPECT_EQ(k.name, name) << label;
-                    ASSERT_NE(k.compute, nullptr) << label;
-                    ASSERT_NE(k.ordered_merge, nullptr) << label;
-                    ASSERT_NE(k.policy, nullptr) << label;
-                    // Lock-free delta commit engages exactly for the
-                    // commutative-merge family, and only when asked.
-                    EXPECT_EQ(k.delta_merge,
-                              delta && kAccumulative.count(name) > 0)
-                        << label;
-                }
+                engine::EngineOptions opts;
+                opts.mode = mode;
+                const auto k =
+                    engine::resolveWaveKernel(*algo, opts, trace_on);
+                const std::string label =
+                    name + " mode=" +
+                    std::to_string(static_cast<int>(mode)) +
+                    " trace=" + std::to_string(trace_on);
+                EXPECT_TRUE(k.specialized) << label;
+                EXPECT_EQ(k.name, name) << label;
+                ASSERT_NE(k.compute, nullptr) << label;
+                ASSERT_NE(k.policy, nullptr) << label;
             }
         }
     }
@@ -150,9 +129,7 @@ TEST(WaveKernels, UnknownTagFallsBackToGeneric)
     const auto k = engine::resolveWaveKernel(algo, opts, false);
     EXPECT_FALSE(k.specialized);
     EXPECT_EQ(k.name, "generic:unregistered");
-    EXPECT_FALSE(k.delta_merge);
     ASSERT_NE(k.compute, nullptr);
-    ASSERT_NE(k.ordered_merge, nullptr);
     EXPECT_EQ(k.policy, nullptr);
 }
 
@@ -160,11 +137,11 @@ TEST(WaveKernels, UnknownTagFallsBackToGeneric)
 
 struct CallCounters
 {
-    std::atomic<std::uint64_t> process_edge{0};
-    std::atomic<std::uint64_t> merge_master{0};
-    std::atomic<std::uint64_t> push_value{0};
-    std::atomic<std::uint64_t> has_push{0};
-    std::atomic<std::uint64_t> pull{0};
+    std::uint64_t process_edge = 0;
+    std::uint64_t merge_master = 0;
+    std::uint64_t push_value = 0;
+    std::uint64_t has_push = 0;
+    std::uint64_t pull = 0;
 
     std::uint64_t
     total() const
@@ -242,7 +219,6 @@ runCounting(const graph::DirectedGraph &g,
 {
     engine::EngineOptions opts;
     opts.platform = smallPlatform();
-    opts.engine_threads = 2;
     engine::DiGraphEngine eng(g, opts);
     return eng.run(algo);
 }
@@ -256,7 +232,6 @@ TEST(WaveKernels, SpecializedKernelMakesZeroVirtualCalls)
     const auto specialized = runCounting(g, counting);
     EXPECT_TRUE(specialized.kernel_specialized);
     EXPECT_EQ(specialized.kernel, "pagerank");
-    EXPECT_TRUE(specialized.kernel_delta_merge);
     EXPECT_EQ(specialized_calls.total(), 0u)
         << "specialized hot loop entered the virtual interface: "
         << "processEdge=" << specialized_calls.process_edge
@@ -270,10 +245,9 @@ TEST(WaveKernels, SpecializedKernelMakesZeroVirtualCalls)
     const auto generic = runCounting(g, opted_out);
     EXPECT_FALSE(generic.kernel_specialized);
     EXPECT_EQ(generic.kernel, "generic:pagerank");
-    EXPECT_FALSE(generic.kernel_delta_merge);
-    EXPECT_GT(generic_calls.process_edge.load(), 0u);
-    EXPECT_GT(generic_calls.merge_master.load(), 0u);
-    EXPECT_GT(generic_calls.has_push.load(), 0u);
+    EXPECT_GT(generic_calls.process_edge, 0u);
+    EXPECT_GT(generic_calls.merge_master, 0u);
+    EXPECT_GT(generic_calls.has_push, 0u);
 
     // Specialization is a pure execution detail: both runs must agree
     // bit for bit, counters included.
@@ -286,46 +260,6 @@ TEST(WaveKernels, SpecializedKernelMakesZeroVirtualCalls)
         ASSERT_EQ(bits(specialized.final_state[v]),
                   bits(generic.final_state[v]))
             << "vertex " << v;
-    }
-}
-
-// --------------------------- delta commit vs ordered-replay oracle
-
-TEST(WaveKernels, DeltaMergeMatchesOrderedReplayOracle)
-{
-    const auto g = testGraph();
-    for (const std::string &name : kAccumulative) {
-        const auto algo = algorithms::makeAlgorithm(name, g);
-        for (const std::size_t threads : {1u, 2u, 4u}) {
-            metrics::RunReport reports[2];
-            for (const bool delta : {false, true}) {
-                engine::EngineOptions opts;
-                opts.platform = smallPlatform();
-                opts.engine_threads = threads;
-                opts.delta_merge = delta;
-                engine::DiGraphEngine eng(g, opts);
-                reports[delta] = eng.run(*algo);
-                EXPECT_EQ(reports[delta].kernel_delta_merge, delta);
-            }
-            const std::string label =
-                name + " threads=" + std::to_string(threads);
-            const auto &oracle = reports[0];
-            const auto &fast = reports[1];
-            EXPECT_EQ(fast.waves, oracle.waves) << label;
-            EXPECT_EQ(fast.edge_processings, oracle.edge_processings)
-                << label;
-            EXPECT_EQ(fast.vertex_updates, oracle.vertex_updates)
-                << label;
-            EXPECT_EQ(bits(fast.sim_cycles), bits(oracle.sim_cycles))
-                << label;
-            ASSERT_EQ(fast.final_state.size(), oracle.final_state.size())
-                << label;
-            for (std::size_t v = 0; v < fast.final_state.size(); ++v) {
-                ASSERT_EQ(bits(fast.final_state[v]),
-                          bits(oracle.final_state[v]))
-                    << label << ": vertex " << v;
-            }
-        }
     }
 }
 
