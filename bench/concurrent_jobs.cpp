@@ -10,7 +10,10 @@
  * number of jobs, while each job only adds its private ValuePlane +
  * transport bookkeeping. The study records both the topology bytes and
  * the end-to-end wall time of draining all jobs, and verifies that
- * shared-substrate results are bit-identical to single-job runs.
+ * shared-substrate results are bit-identical to single-job runs. The
+ * shared leg drains the jobs through a batch-mode GraphService (no
+ * preemption quantum) adopting the prebuilt substrate; its timed region
+ * is the session's construction, the submissions and the drain.
  *
  * A third variant (scheduled3) drains the same jobs through a
  * GraphService session adopting the SAME substrate, with the two-level
@@ -44,7 +47,7 @@
 #include "bench_common.hpp"
 #include "common/timer.hpp"
 #include "engine/graph_service.hpp"
-#include "engine/job_manager.hpp"
+#include "partition/preprocess.hpp"
 
 namespace {
 
@@ -74,17 +77,25 @@ main()
 
     engine::EngineOptions opts;
     opts.platform = bench::benchPlatform(bench::benchGpus());
+    opts.resolvePartitionBudget(g.numEdges());
 
     // --- shared substrate: preprocess once, run all jobs on it. ---
-    engine::JobManager manager(g, opts);
-    for (const auto &spec : job_specs)
-        manager.addJob(spec);
+    const auto substrate = engine::EngineSubstrate::build(
+        g, partition::preprocess(g, opts.preprocess));
     WallTimer shared_timer;
-    const auto shared_results = manager.runAll();
+    std::vector<engine::JobResult> shared_results;
+    {
+        engine::ServiceConfig batch;
+        batch.quantum_waves = 0; // batch: no preemption
+        engine::GraphService shared(g, substrate, opts, batch);
+        for (const auto &spec : job_specs)
+            shared.addJobAsync(spec);
+        shared_results = shared.drain();
+    }
     const double shared_wall = shared_timer.seconds();
 
-    const std::size_t topo_single = manager.sharedBytes();
-    const std::size_t topo_shared = manager.sharedBytes(); // paid once
+    const std::size_t topo_single = substrate->memoryBytes();
+    const std::size_t topo_shared = topo_single; // paid once
     std::size_t shared_job_bytes = 0;
     for (const auto &job : shared_results)
         shared_job_bytes += job.job_state_bytes;
@@ -96,7 +107,7 @@ main()
     WallTimer naive_timer;
     std::vector<metrics::RunReport> naive_reports;
     for (const auto &spec : job_specs) {
-        partition::Preprocessed copy = manager.substrate()->pre;
+        partition::Preprocessed copy = substrate->pre;
         engine::DiGraphEngine eng(g, std::move(copy), opts);
         const auto algo = algorithms::makeAlgorithmSpec(spec, g);
         naive_reports.push_back(eng.run(*algo));
@@ -115,7 +126,7 @@ main()
     sconfig.quantum_waves = 16;
     sconfig.co_schedule = true;
     WallTimer scheduled_timer;
-    engine::GraphService service(g, manager.substrate(), opts, sconfig);
+    engine::GraphService service(g, substrate, opts, sconfig);
     for (const auto &spec : job_specs)
         service.addJobAsync(spec);
     const auto scheduled_results = service.drain();
@@ -157,8 +168,7 @@ main()
         config.session_threads = threads;
         config.quantum_waves = 0; // batch: no preemption
         WallTimer timer;
-        engine::GraphService session(g, manager.substrate(), opts,
-                                     config);
+        engine::GraphService session(g, substrate, opts, config);
         for (const auto &spec : job_specs)
             session.addJobAsync(spec);
         const auto results = session.drain();
@@ -253,7 +263,7 @@ main()
                  static_cast<unsigned long long>(g.numVertices()),
                  static_cast<unsigned long long>(g.numEdges()),
                  static_cast<unsigned long long>(
-                     manager.substrate()->pre.numPartitions()));
+                     substrate->pre.numPartitions()));
     std::fprintf(out,
                  "  \"topology_bytes\": {\"single\": %zu, \"shared3\": "
                  "%zu, \"naive3\": %zu},\n",

@@ -67,7 +67,7 @@ BM_ingest(benchmark::State &state, bool incremental)
     for (auto _ : state) {
         engine::EngineOptions opts;
         opts.platform = benchPlatform(benchGpus());
-        engine::EvolvingOptions evolve;
+        engine::CatalogOptions evolve;
         evolve.incremental = incremental;
         evolve.full_rebuild_fraction = 0.0; // measure the pure modes
         engine::EvolvingEngine evolving(

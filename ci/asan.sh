@@ -6,10 +6,10 @@
 # fault-tolerance test binaries. The fault suite is the interesting one
 # here: checkpoint restore rewrites the V_val/E_val arrays in place and
 # recovery drops device residency wholesale, so any stale index or
-# use-after-rollback shows up under ASan. test_job_manager,
-# test_graph_service, and the concurrent-jobs smoke add the
-# multi-ValuePlane lifecycle (per-job state allocated/freed around one
-# shared substrate, including engines destroyed after preempted runs).
+# use-after-rollback shows up under ASan. test_graph_service and the
+# concurrent-jobs smoke add the multi-ValuePlane lifecycle (per-job
+# state allocated/freed around one shared substrate, including engines
+# destroyed after preempted runs).
 # test_multisource and test_factory_validation cover the K-wide lane
 # arrays (stripe indexing, delta-encoded refresh pulls)
 # and the checked factory/CLI parsing paths. test_substrate_epochs and
@@ -37,8 +37,8 @@ cmake -B build-asan -S . -DDIGRAPH_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j \
     --target test_fault_tolerance test_robustness \
-    test_engine_parallel test_engine_features test_io test_snapshot \
-    test_graph_service test_substrate_epochs test_job_manager \
+    test_engine_parallel test_engine_features test_io \
+    test_graph_service test_substrate_epochs \
     test_wave_kernels test_multisource test_factory_validation \
     concurrent_jobs live_ingest
 
@@ -46,5 +46,5 @@ if [ "$#" -gt 0 ]; then
     ctest --test-dir build-asan --output-on-failure "$@"
 else
     ctest --test-dir build-asan --output-on-failure \
-        -R 'test_(fault_tolerance|robustness|engine_parallel|engine_features|io|snapshot|graph_service|substrate_epochs|job_manager|wave_kernels|multisource|factory_validation)$|bench_jobs_smoke|bench_live_smoke'
+        -R 'test_(fault_tolerance|robustness|engine_parallel|engine_features|io|graph_service|substrate_epochs|wave_kernels|multisource|factory_validation)$|bench_jobs_smoke|bench_live_smoke'
 fi

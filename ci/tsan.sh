@@ -6,8 +6,8 @@
 # own dispatches run one at a time on its thread; what still runs
 # concurrently is: GraphService job threads (test_graph_service races
 # the inter-job scheduler — grants, wave-boundary preemption — against
-# running engines, test_job_manager and bench_jobs_smoke race whole
-# jobs over one shared substrate, test_multisource runs lane jobs
+# running engines and runs batch-mode jobs side by side over one shared
+# substrate, as does bench_jobs_smoke; test_multisource runs lane jobs
 # through the service), substrate epochs (test_substrate_epochs and
 # bench_live_smoke race live-graph update jobs deriving the next epoch
 # against queries pinned to older ones, across the pin/retire
@@ -39,12 +39,12 @@ cmake -B build-tsan -S . -DDIGRAPH_SANITIZE=thread \
 cmake --build build-tsan -j \
     --target test_engine_parallel test_engine_features \
     test_engine_convergence test_evolving_incremental \
-    test_graph_service test_substrate_epochs test_job_manager \
+    test_graph_service test_substrate_epochs \
     test_wave_kernels test_multisource concurrent_jobs live_ingest
 
 if [ "$#" -gt 0 ]; then
     ctest --test-dir build-tsan --output-on-failure "$@"
 else
     ctest --test-dir build-tsan --output-on-failure \
-        -R 'test_engine_(parallel|features|convergence)|test_evolving_incremental|test_graph_service|test_substrate_epochs|test_job_manager|test_wave_kernels|test_multisource|bench_jobs_smoke|bench_live_smoke'
+        -R 'test_engine_(parallel|features|convergence)|test_evolving_incremental|test_graph_service|test_substrate_epochs|test_wave_kernels|test_multisource|bench_jobs_smoke|bench_live_smoke'
 fi

@@ -133,15 +133,19 @@ class Algorithm
 
     /**
      * Registry tag of the compile-time kernel policy whose processing
-     * semantics this algorithm realizes ("" = none; the engine then
-     * falls back to virtual dispatch in the wave hot loop). The tag is
-     * an execution-semantics contract: a subclass that overrides any
-     * processing method (processEdge / mergeMaster / pushValue /
-     * hasPush / pull) with DIFFERENT semantics must override
-     * kernelTag() to return "" or the specialized kernel will bypass
-     * the override entirely. Subclasses that only add bookkeeping may
-     * keep the inherited tag — the hot loop then provably never enters
-     * their virtual methods (see tests/test_wave_kernels.cpp).
+     * semantics this algorithm realizes ("" = none). The DiGraph engine
+     * runs only algorithms whose tag names a registered kernel and
+     * rejects every other one (see engine/wave_kernel.hpp); the
+     * baselines and the sequential oracle use the virtual interface
+     * regardless of the tag. The tag is an execution-semantics
+     * contract: a subclass that overrides any processing method
+     * (processEdge / mergeMaster / pushValue / hasPush / pull) with
+     * DIFFERENT semantics must override kernelTag() to return "" or
+     * the kernel will bypass the override entirely; the engine then
+     * rejects it instead of running the wrong math. Subclasses that
+     * only add bookkeeping may keep the inherited tag — the hot loop
+     * then provably never enters their virtual methods (see
+     * tests/test_wave_kernels.cpp).
      */
     virtual std::string kernelTag() const { return ""; }
 };
@@ -150,14 +154,15 @@ class Algorithm
  * CRTP/static-policy adapter: implements the virtual processing methods
  * by forwarding to a copyable, non-virtual @p Policy struct. The policy
  * is the single source of truth for the algorithm's per-edge math — the
- * specialized wave kernels (src/engine/wave_kernel.cpp) copy the policy
- * and call it directly, inlined, with zero virtual dispatch, while every
- * other engine family keeps using the virtual interface below. A policy
- * must provide processEdge / mergeMaster / pushValue / hasPush / pull
- * with the same signatures (minus virtual) plus the compile-time flags
+ * DiGraph engine's wave kernels (src/engine/wave_kernel.cpp) copy the
+ * policy and call it directly, inlined, with zero virtual dispatch,
+ * while the baselines and the sequential oracle use the virtual
+ * interface below. A policy must provide processEdge / mergeMaster /
+ * pushValue / hasPush / pull with the same signatures (minus virtual)
+ * plus the compile-time flags
  *   static constexpr bool kUsesWeight;     // reads the weight argument
  *   static constexpr bool kUsesOutDegree;  // reads src_out_degree
- * so dead argument loads compile out of the specialized inner loop.
+ * so dead argument loads compile out of the wave kernel's inner loop.
  */
 template <class Policy>
 class PolicyAlgorithm : public Algorithm

@@ -151,14 +151,19 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
     report.value_lanes = lanes ? lanes : 1;
 
     // Resolve the wave kernel once per run: the compile-time body
-    // instantiation matching (algorithm policy, mode, tracing), or the
-    // generic fallback. The hot loop below calls one function pointer
-    // per dispatch — never a virtual per edge.
-    kernel_ = resolveWaveKernel(algo, options_, trace_ != nullptr, lanes);
-    kernel_ctx_ = kernel_.policy ? kernel_.policy.get()
-                                 : static_cast<const void *>(&algo);
+    // instantiation matching (algorithm policy, mode, tracing). The hot
+    // loop below calls one function pointer per dispatch — never a
+    // virtual per edge. An algorithm no registry row realizes is
+    // rejected here, before any run state is allocated.
+    auto kernel =
+        resolveWaveKernel(algo, options_, trace_ != nullptr, lanes);
+    if (!kernel) {
+        fatal("DiGraphEngine: algorithm '", algo.name(), "' (kernel tag '",
+              algo.kernelTag(), "') matches no registered ",
+              lanes ? "lane " : "", "wave kernel");
+    }
+    kernel_ = std::move(*kernel);
     report.kernel = kernel_.name;
-    report.kernel_specialized = kernel_.specialized;
 
     const PartitionId nparts = pre_.numPartitions();
     transport_.beginRun(options_, nparts, g_.numVertices(), &counters_);
@@ -270,7 +275,8 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
                 plane_.markPartitionDirty(p);
             }
             compute_timer.begin();
-            DispatchOutcome outcome = kernel_.compute(*this, p, kernel_ctx_);
+            DispatchOutcome outcome =
+                kernel_.compute(*this, p, kernel_.policy.get());
             compute_timer.end();
 
             barrier_timer.begin();

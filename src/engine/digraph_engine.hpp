@@ -121,7 +121,7 @@ class DiGraphEngine
 
     /**
      * Share a prebuilt substrate (concurrent jobs over one immutable
-     * Preprocessed — see JobManager): only this job's ValuePlane and
+     * Preprocessed — see GraphService): only this job's ValuePlane and
      * Transport are allocated.
      * @pre sub was built for @p g (edge count checked).
      */
@@ -130,6 +130,8 @@ class DiGraphEngine
                   EngineOptions options);
 
     /** Execute @p algo to convergence; returns the full report.
+     *  fatal() when @p algo matches no registered wave kernel (see
+     *  resolveWaveKernel and Algorithm::kernelTag()).
      *  @param warm Optional warm start (evolving-graph reruns): vertex
      *  states resume from the given vector, edge caches are initialized
      *  consistently via Algorithm::warmEdgeState(), and only the given
@@ -256,8 +258,8 @@ class DiGraphEngine
 
   private:
     /** The wave body templates read/write the engine internals
-     *  directly (single shared body for the specialized kernels and
-     *  the generic fallback — see wave_body.hpp). */
+     *  directly (one shared body for every kernel policy — see
+     *  wave_body.hpp). */
     friend struct WaveKernels;
 
     /** The barrier of one dispatch, run right after its compute phase:
@@ -318,12 +320,9 @@ class DiGraphEngine
     double trace_wave_sim_ = 0.0;
     std::vector<std::uint32_t> partition_process_count_;
 
-    /** Wave kernel resolved for the current run (compile-time
-     *  specialized body or generic fallback). */
+    /** Wave kernel resolved for the current run (the compile-time
+     *  body instantiation and its policy copy). */
     ResolvedKernel kernel_;
-    /** ctx pointer the kernel entry points receive: the owned policy
-     *  copy (specialized) or the Algorithm itself (fallback). */
-    const void *kernel_ctx_ = nullptr;
 
     /** True when options_.faults is non-empty or a durable store is
      *  attached (every hot-path fault hook stays a single branch when

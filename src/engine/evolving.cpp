@@ -8,7 +8,7 @@ namespace digraph::engine {
 
 EvolvingEngine::EvolvingEngine(graph::DirectedGraph initial,
                                EngineOptions options,
-                               EvolvingOptions evolve)
+                               CatalogOptions evolve)
     : options_(std::move(options)),
       catalog_(std::make_unique<SubstrateCatalog>(std::move(initial),
                                                   options_, evolve))

@@ -17,7 +17,7 @@
  *    appendPreprocess() — previous paths, DAG-sketch layers and
  *    partition assignments are reused verbatim, only the batch edges
  *    are decomposed, and the degree-sorted adjacency cache is patched
- *    rather than rebuilt. EvolvingOptions::incremental = false restores
+ *    rather than rebuilt. CatalogOptions::incremental = false restores
  *    the pre-incremental full per-batch rebuild (the benchmark
  *    baseline).
  *
@@ -47,10 +47,6 @@
 #include "graph/builder.hpp"
 
 namespace digraph::engine {
-
-/** Ingestion-policy knobs of the evolving engine — exactly the epoch
- *  chain's policy (the evolving engine IS a catalog client). */
-using EvolvingOptions = CatalogOptions;
 
 /** Report of one evolving-graph step. */
 struct EvolvingStepReport
@@ -91,10 +87,11 @@ struct EvolvingStepReport
 class EvolvingEngine
 {
   public:
-    /** Take ownership of the initial graph snapshot. */
+    /** Take ownership of the initial graph snapshot. @p evolve is the
+     *  ingestion policy of the engine's epoch chain. */
     explicit EvolvingEngine(graph::DirectedGraph initial,
                             EngineOptions options = {},
-                            EvolvingOptions evolve = {});
+                            CatalogOptions evolve = {});
 
     /** Current graph snapshot (the pinned epoch's graph). */
     const graph::DirectedGraph &graph() const { return pin_.graph(); }
@@ -129,7 +126,7 @@ class EvolvingEngine
     const SubstrateCatalog &catalog() const { return *catalog_; }
 
     /** Ingestion policy in effect. */
-    const EvolvingOptions &evolvingOptions() const
+    const CatalogOptions &evolvingOptions() const
     {
         return catalog_->policy();
     }

@@ -318,9 +318,9 @@ GraphService::addJobAsync(const JobRequest &request)
         job.estimate_bytes =
             job.update_edges.size() * sizeof(graph::Edge);
     } else {
-        // Validate the spec up front (fatal on nonsense, exactly like
-        // the batch path did at runAll). The real algorithm instance is
-        // rebuilt at grant time over the job's pinned epoch.
+        // Validate the spec up front (fatal on nonsense). The real
+        // algorithm instance is rebuilt at grant time over the job's
+        // pinned epoch.
         {
             auto vpin = catalog_->pin();
             algorithms::makeAlgorithmSpec(request.spec, vpin.graph());

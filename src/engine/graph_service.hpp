@@ -3,13 +3,15 @@
  * GraphService: a long-lived graph-processing session with two-level
  * job scheduling over a chain of substrate epochs (DESIGN.md §15/§18).
  *
- * Where JobManager ran a fixed batch and exited, a GraphService stays
- * up: it owns a SubstrateCatalog — a chain of immutable substrate
- * epochs — and accepts a *stream* of job requests (addJobAsync /
- * addUpdateAsync / poll / drain; the CLI's `--serve` batch front-end
- * sits on top). Jobs carry a tenant and a priority, and the inter-job
- * scheduler (engine/job_scheduler.hpp) places them into the session's
- * execution slots with
+ * A GraphService is the one way to run jobs over a shared substrate.
+ * It owns a SubstrateCatalog — a chain of immutable substrate epochs —
+ * and accepts a *stream* of job requests (addJobAsync / addUpdateAsync
+ * / poll / drain; the CLI's `--serve` and `--jobs` front-ends sit on
+ * top). Batch mode is a configuration, not a separate runner: with
+ * quantum_waves = 0 and no quotas or budgets, every submitted job runs
+ * to convergence once it holds a slot. Jobs carry a tenant and a
+ * priority, and the inter-job scheduler (engine/job_scheduler.hpp)
+ * places them into the session's execution slots with
  *
  *  - admission control: a configurable in-flight job-state byte budget
  *    (a job's ValuePlane + transport bookkeeping) — jobs past it queue,
@@ -118,7 +120,7 @@ struct JobRequest
     std::uint64_t journal_id = ~static_cast<std::uint64_t>(0);
 };
 
-/** One job's outputs (also the JobManager batch result type). */
+/** One job's outputs. */
 struct JobResult
 {
     /** The "name[:param]" spec the job was queued with. */

@@ -174,10 +174,8 @@ class ReplicaSync
      * @p changed (sorted/deduplicated). With @p journal (fault
      * tolerance on) every pushed master is marked checkpoint-dirty
      * before its merge. Returns the proxy/atomic split. @p AlgoT is
-     * either a non-virtual kernel policy (specialized wave kernels —
-     * the merge math inlines into the batch loop) or
-     * algorithms::Algorithm (generic fallback). Defined in
-     * replica_sync_impl.hpp.
+     * the wave kernel's non-virtual policy, so the merge math inlines
+     * into the batch loop. Defined in replica_sync_impl.hpp.
      */
     template <class AlgoT>
     PushStats

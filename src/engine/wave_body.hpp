@@ -4,9 +4,9 @@
  * (DESIGN.md §14). WaveKernels::compute<> is the compute phase of one
  * partition dispatch, parameterized on
  *
- *  - AlgoT   — a non-virtual kernel policy (specialized kernels: the
- *              per-edge math inlines, zero virtual calls) or
- *              algorithms::Algorithm (generic fallback);
+ *  - AlgoT   — a non-virtual kernel policy (the per-edge math inlines,
+ *              zero virtual calls; see PolicyAlgorithm for the
+ *              members a policy provides);
  *  - M       — the execution mode, so the VertexAsync snapshot
  *              machinery and the PathAsync priority scheduling are
  *              compiled out of the modes that don't use them;
@@ -16,10 +16,7 @@
  * Dispatches run one at a time, so the body reads and writes the shared
  * masters directly: mirror pushes merge into V_val in generation order.
  *
- * One template serves both the specialized and the generic path, so the
- * two can never drift semantically — the fallback is literally the same
- * body with virtual calls. Instantiation happens only in
- * wave_kernel.cpp (the registry).
+ * Instantiation happens only in wave_kernel.cpp (the registry).
  */
 
 #pragma once
@@ -41,29 +38,6 @@ struct WaveKernels
     /** Words touched in global memory per processed edge
      *  (E_idx pair read, S_val read+write, E_val read/write). */
     static constexpr double kWordsPerEdge = 3.0;
-
-    /** Compile-time policy flags with virtual-safe defaults: a type
-     *  without the flag (algorithms::Algorithm) must conservatively
-     *  load everything. */
-    template <class T>
-    static constexpr bool
-    usesWeight()
-    {
-        if constexpr (requires { T::kUsesWeight; })
-            return T::kUsesWeight;
-        else
-            return true;
-    }
-
-    template <class T>
-    static constexpr bool
-    usesOutDegree()
-    {
-        if constexpr (requires { T::kUsesOutDegree; })
-            return T::kUsesOutDegree;
-        else
-            return true;
-    }
 
     /**
      * The compute phase of one partition dispatch: local rounds until
@@ -217,12 +191,12 @@ struct WaveKernels
                         src_val = view.mirror_states[i];
                     const EdgeId eid = view.edge_ids[i];
                     // Dead argument loads compile out per the policy's
-                    // flags (a virtual AlgoT loads everything).
+                    // flags.
                     Value weight = 0.0;
-                    if constexpr (usesWeight<AlgoT>())
+                    if constexpr (AlgoT::kUsesWeight)
                         weight = eng.g_.edgeWeight(eid);
                     std::uint32_t out_deg = 0;
-                    if constexpr (usesOutDegree<AlgoT>())
+                    if constexpr (AlgoT::kUsesOutDegree)
                         out_deg = static_cast<std::uint32_t>(
                             eng.g_.outDegree(src_v));
                     const bool changed_dst = algo.processEdge(
@@ -476,10 +450,10 @@ struct WaveKernels
                     const EdgeId eid =
                         plane.storage.edgeIdAt(e_base + i);
                     Value weight = 0.0;
-                    if constexpr (usesWeight<AlgoT>())
+                    if constexpr (AlgoT::kUsesWeight)
                         weight = eng.g_.edgeWeight(eid);
                     std::uint32_t out_deg = 0;
-                    if constexpr (usesOutDegree<AlgoT>())
+                    if constexpr (AlgoT::kUsesOutDegree)
                         out_deg = static_cast<std::uint32_t>(
                             eng.g_.outDegree(src_v));
                     const Value *src_vals =

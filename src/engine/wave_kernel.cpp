@@ -2,15 +2,15 @@
  * @file
  * Wave-kernel registry: the only translation unit that instantiates the
  * shared wave body (wave_body.hpp), once per
- * (kernel policy x execution mode x trace) combination, plus the
- * generic virtual-dispatch fallback instantiations.
+ * (kernel policy x execution mode x trace) combination.
  *
- * Resolution contract (see Algorithm::kernelTag()): an algorithm is
- * specialized iff its kernelTag() matches a registry entry AND it IS-A
+ * Resolution contract (see Algorithm::kernelTag()): an algorithm
+ * resolves iff its kernelTag() matches a registry entry AND it IS-A
  * the registered class (dynamic_cast), in which case its kernel policy
  * is copied out — the hot loop then never touches the virtual
  * interface, which is what tests/test_wave_kernels.cpp proves with a
- * counting subclass.
+ * counting subclass. Anything else resolves to nothing and the engine
+ * rejects the run.
  */
 
 #include "engine/wave_kernel.hpp"
@@ -35,10 +35,10 @@ namespace {
 
 template <class AlgoT, ExecutionMode M, bool TraceOn>
 DispatchOutcome
-computeThunk(DiGraphEngine &eng, PartitionId p, const void *ctx)
+computeThunk(DiGraphEngine &eng, PartitionId p, const void *policy)
 {
     return WaveKernels::compute<AlgoT, M, TraceOn>(
-        eng, p, *static_cast<const AlgoT *>(ctx));
+        eng, p, *static_cast<const AlgoT *>(policy));
 }
 
 template <class AlgoT>
@@ -68,10 +68,11 @@ pickCompute(ExecutionMode mode, bool trace_on)
 
 template <class AlgoT, ExecutionMode M, bool TraceOn, unsigned LanesCT>
 DispatchOutcome
-computeLanesThunk(DiGraphEngine &eng, PartitionId p, const void *ctx)
+computeLanesThunk(DiGraphEngine &eng, PartitionId p,
+                  const void *policy)
 {
     return WaveKernels::computeLanes<AlgoT, M, TraceOn, LanesCT>(
-        eng, p, *static_cast<const AlgoT *>(ctx));
+        eng, p, *static_cast<const AlgoT *>(policy));
 }
 
 template <class AlgoT, unsigned LanesCT>
@@ -124,7 +125,6 @@ tryResolveLanes(const algorithms::Algorithm &algo, const std::string &tag,
     if (!typed)
         return false;
     out.name = std::string(expected) + ":lanes";
-    out.specialized = true;
     out.compute = pickLaneCompute<Policy>(options.mode, trace_on, lanes);
     out.policy = std::make_shared<const Policy>(typed->kernelPolicy());
     return true;
@@ -144,7 +144,6 @@ tryResolve(const algorithms::Algorithm &algo, const std::string &tag,
         return false;
     using Policy = typename AlgoClass::KernelPolicy;
     out.name = expected;
-    out.specialized = true;
     out.compute = pickCompute<Policy>(options.mode, trace_on);
     out.policy = std::make_shared<const Policy>(typed->kernelPolicy());
     return true;
@@ -152,7 +151,7 @@ tryResolve(const algorithms::Algorithm &algo, const std::string &tag,
 
 } // namespace
 
-ResolvedKernel
+std::optional<ResolvedKernel>
 resolveWaveKernel(const algorithms::Algorithm &algo,
                   const EngineOptions &options, bool trace_on,
                   unsigned lanes)
@@ -160,48 +159,37 @@ resolveWaveKernel(const algorithms::Algorithm &algo,
     ResolvedKernel k;
     const std::string tag = algo.kernelTag();
     if (lanes > 0) {
-        if (!tag.empty() &&
-            (tryResolveLanes<algorithms::PageRankPolicy>(
-                 algo, tag, "pagerank", options, trace_on, lanes, k) ||
-             tryResolveLanes<algorithms::BfsPolicy>(
-                 algo, tag, "bfs", options, trace_on, lanes, k) ||
-             tryResolveLanes<algorithms::SsspPolicy>(
-                 algo, tag, "sssp", options, trace_on, lanes, k))) {
+        if (tryResolveLanes<algorithms::PageRankPolicy>(
+                algo, tag, "pagerank", options, trace_on, lanes, k) ||
+            tryResolveLanes<algorithms::BfsPolicy>(
+                algo, tag, "bfs", options, trace_on, lanes, k) ||
+            tryResolveLanes<algorithms::SsspPolicy>(
+                algo, tag, "sssp", options, trace_on, lanes, k)) {
             return k;
         }
-        k.name = "generic-lanes:" + algo.name();
-        k.specialized = false;
-        k.compute = pickLaneCompute<algorithms::Algorithm>(
-            options.mode, trace_on, lanes);
-        k.policy = nullptr;
+        return std::nullopt;
+    }
+    if (tryResolve<algorithms::PageRank>(algo, tag, "pagerank", options,
+                                         trace_on, k) ||
+        tryResolve<algorithms::Katz>(algo, tag, "katz", options, trace_on,
+                                     k) ||
+        tryResolve<algorithms::Adsorption>(algo, tag, "adsorption",
+                                           options, trace_on, k) ||
+        tryResolve<algorithms::Sssp>(algo, tag, "sssp", options, trace_on,
+                                     k) ||
+        tryResolve<algorithms::Bfs>(algo, tag, "bfs", options, trace_on,
+                                    k) ||
+        tryResolve<algorithms::Wcc>(algo, tag, "wcc", options, trace_on,
+                                    k) ||
+        tryResolve<algorithms::KCore>(algo, tag, "kcore", options,
+                                      trace_on, k) ||
+        tryResolve<algorithms::Hits>(algo, tag, "hits", options, trace_on,
+                                     k) ||
+        tryResolve<algorithms::Reachability>(algo, tag, "reachability",
+                                             options, trace_on, k)) {
         return k;
     }
-    if (!tag.empty() &&
-        (tryResolve<algorithms::PageRank>(algo, tag, "pagerank", options,
-                                          trace_on, k) ||
-         tryResolve<algorithms::Katz>(algo, tag, "katz", options,
-                                      trace_on, k) ||
-         tryResolve<algorithms::Adsorption>(algo, tag, "adsorption",
-                                            options, trace_on, k) ||
-         tryResolve<algorithms::Sssp>(algo, tag, "sssp", options,
-                                      trace_on, k) ||
-         tryResolve<algorithms::Bfs>(algo, tag, "bfs", options, trace_on,
-                                     k) ||
-         tryResolve<algorithms::Wcc>(algo, tag, "wcc", options, trace_on,
-                                     k) ||
-         tryResolve<algorithms::KCore>(algo, tag, "kcore", options,
-                                       trace_on, k) ||
-         tryResolve<algorithms::Hits>(algo, tag, "hits", options,
-                                      trace_on, k) ||
-         tryResolve<algorithms::Reachability>(
-             algo, tag, "reachability", options, trace_on, k))) {
-        return k;
-    }
-    k.name = "generic:" + algo.name();
-    k.specialized = false;
-    k.compute = pickCompute<algorithms::Algorithm>(options.mode, trace_on);
-    k.policy = nullptr;
-    return k;
+    return std::nullopt;
 }
 
 } // namespace digraph::engine

@@ -13,13 +13,14 @@
  *
  * Resolution is gated on Algorithm::kernelTag(): a subclass that
  * overrides processing semantics must return "" (contract documented on
- * kernelTag()) and falls back to the generic instantiation, which keeps
- * the same body but calls through the virtual interface.
+ * kernelTag()), which matches no registry row, so the engine rejects
+ * it instead of running it.
  */
 
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/types.hpp"
@@ -36,25 +37,19 @@ struct DispatchOutcome;
 
 /**
  * One resolved wave kernel: the compute entry point of the selected
- * body instantiation plus the owned policy copy it runs on.
- *
- * The `ctx` argument of the entry point is the kernel policy copy for
- * specialized kernels (ResolvedKernel::policy) and the Algorithm itself
- * for the generic fallback — the engine passes whichever it stored at
- * resolution (DiGraphEngine::kernel_ctx_).
+ * body instantiation plus the owned policy copy it runs on (the
+ * entry point's `policy` argument).
  */
 struct ResolvedKernel
 {
     using ComputeFn = DispatchOutcome (*)(DiGraphEngine &, PartitionId,
-                                          const void *ctx);
+                                          const void *policy);
 
-    /** Kernel name ("pagerank", ...; "generic:<name>" = fallback). */
-    std::string name = "generic";
-    /** Policy-inlined compute loop (no virtual calls per edge). */
-    bool specialized = false;
+    /** Registry row ("pagerank", ...; "<tag>:lanes" for lane rows). */
+    std::string name;
     /** Compute phase of one partition dispatch. */
     ComputeFn compute = nullptr;
-    /** Owned copy of the kernel policy (null for the fallback). */
+    /** Owned copy of the kernel policy. */
     std::shared_ptr<const void> policy;
 };
 
@@ -63,12 +58,15 @@ struct ResolvedKernel
  * @param trace_on Whether a trace sink is attached for this run (selects
  *        the TraceOn body so a disabled trace costs nothing at all).
  * @param lanes Value lanes K of the run (0 = scalar). Lane runs resolve
- *        against the lane-body rows (LanePolicyAlgorithm match) or the
- *        generic lane fallback; path modes only.
- * Never fails: unknown algorithms get the generic fallback kernel.
+ *        against the lane-body rows (LanePolicyAlgorithm match); path
+ *        modes only.
+ * @return std::nullopt when @p algo matches no registry row: its
+ *         kernelTag() is empty or unknown, or it is not the registered
+ *         class (a LaneAlgorithm that is not a LanePolicyAlgorithm).
  */
-ResolvedKernel resolveWaveKernel(const algorithms::Algorithm &algo,
-                                 const EngineOptions &options,
-                                 bool trace_on, unsigned lanes = 0);
+std::optional<ResolvedKernel>
+resolveWaveKernel(const algorithms::Algorithm &algo,
+                  const EngineOptions &options, bool trace_on,
+                  unsigned lanes = 0);
 
 } // namespace digraph::engine

@@ -115,13 +115,10 @@ struct RunReport
     /** Host wall-clock spent selecting dispatch batches (readiness and
      *  priority scans), seconds. */
     double wall_schedule_seconds = 0.0;
-    /** Wave-kernel the run resolved to ("pagerank", "sssp", ...;
-     *  "generic:<name>" = virtual-dispatch fallback). Empty for
-     *  non-wave engines (baselines). */
+    /** Wave-kernel registry row the run resolved to ("pagerank",
+     *  "sssp", ...; "<tag>:lanes" for lane runs). Empty for non-wave
+     *  engines (baselines). */
     std::string kernel;
-    /** Whether the wave hot loop ran a compile-time-specialized kernel
-     *  (zero virtual algorithm calls per edge). */
-    bool kernel_specialized = false;
     /** Dispatch waves executed (a wave batches concurrent dispatches). */
     std::uint64_t waves = 0;
     /** Preprocessing wall-clock, seconds. */

@@ -10,7 +10,6 @@
 
 #include "graph/builder.hpp"
 #include "metrics/trace.hpp"
-#include "partition/snapshot.hpp"
 
 namespace digraph::storage {
 
@@ -246,6 +245,31 @@ serializeDelta(const std::vector<graph::Edge> &edges)
     w.vec(dst);
     w.vec(weight);
     return w.take();
+}
+
+/** The manifests' graph fingerprint: FNV-1a over every edge's source,
+ *  target and weight bits, so a version built for a different graph of
+ *  the same shape never verifies (vertex/edge counts alone would). */
+std::uint64_t
+graphContentChecksum(const graph::DirectedGraph &g)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t word) {
+        for (unsigned byte = 0; byte < 8; ++byte) {
+            h ^= (word >> (8 * byte)) & 0xffULL;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        mix(g.edgeSource(e));
+        mix(g.edgeTarget(e));
+        std::uint64_t weight_bits = 0;
+        const Value w = g.edgeWeight(e);
+        static_assert(sizeof(weight_bits) == sizeof(w));
+        std::memcpy(&weight_bits, &w, sizeof(weight_bits));
+        mix(weight_bits);
+    }
+    return h;
 }
 
 } // namespace
@@ -528,7 +552,7 @@ DurableStore::commitTopology(const graph::DirectedGraph &g,
     m.parent = parent;
     m.vertices = g.numVertices();
     m.edges = g.numEdges();
-    m.graph_checksum = partition::graphContentChecksum(g);
+    m.graph_checksum = graphContentChecksum(g);
     m.partitions = pre.numPartitions();
     m.has_values = false;
 
@@ -608,7 +632,7 @@ DurableStore::commitValues(const graph::DirectedGraph &g,
     m.parent = parent;
     m.vertices = g.numVertices();
     m.edges = g.numEdges();
-    m.graph_checksum = partition::graphContentChecksum(g);
+    m.graph_checksum = graphContentChecksum(g);
     m.partitions = pre.numPartitions();
     m.has_values = true;
     // The parent supplies the topology shards; they must describe this
@@ -680,7 +704,7 @@ DurableStore::loadTopology(std::uint64_t version,
     auto m = readManifest(version);
     if (!m || m->vertices != g.numVertices() ||
         m->edges != g.numEdges() ||
-        m->graph_checksum != partition::graphContentChecksum(g))
+        m->graph_checksum != graphContentChecksum(g))
         return std::nullopt;
 
     const ShardEntry *meta_entry = m->find("meta");
@@ -805,7 +829,8 @@ DurableStore::loadTopology(std::uint64_t version,
     if (!pre.paths.validate(g))
         return std::nullopt;
 
-    // Derived DAG tables (same rebuild as loadSnapshot).
+    // Derived DAG tables: the per-SCC path lists and the giant SCC are
+    // rebuilt from scc_of_path rather than stored.
     pre.dag.scc_of_path = pre.scc_of_path;
     pre.dag.paths_in_scc.assign(pre.dag.num_sccs, {});
     for (PathId p = 0; p < num_paths; ++p) {
@@ -894,7 +919,7 @@ DurableStore::verifyVersion(std::uint64_t version,
         return false;
     if (g && (m->vertices != g->numVertices() ||
               m->edges != g->numEdges() ||
-              m->graph_checksum != partition::graphContentChecksum(*g)))
+              m->graph_checksum != graphContentChecksum(*g)))
         return false;
     for (const auto &entry : m->shards) {
         if (!mapVerified(entry).valid())

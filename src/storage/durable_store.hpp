@@ -11,7 +11,8 @@
  *                           every shard the version is made of (file,
  *                           bytes, FNV-1a checksum), the parent version,
  *                           and the graph fingerprint (vertex/edge
- *                           counts + the snapshot-v2 content checksum)
+ *                           counts + an FNV-1a checksum over every
+ *                           edge's source, target and weight)
  *   meta.v<N>.shard         global tables: partition boundaries,
  *                           per-path metadata, the DAG sketch
  *   topo.p<q>.v<N>.shard    partition q's path topology (vertex
@@ -68,7 +69,7 @@ class TraceSink;
 namespace digraph::storage {
 
 /** FNV-1a over a byte range (shard checksums; same constants as the
- *  snapshot-v2 graph fingerprint). */
+ *  manifests' graph fingerprint). */
 std::uint64_t fnv1a(const void *data, std::size_t bytes);
 
 /** One shard named by a manifest. */

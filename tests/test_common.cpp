@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common utilities: deterministic RNG, timers, thread
- * pool, atomic bitset, and the stats registry.
+ * pool, and the stats registry.
  */
 
 #include <atomic>
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/atomic_bitset.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -122,40 +121,6 @@ TEST(ThreadPool, ParallelForEmptyIsNoop)
     bool called = false;
     pool.parallelFor(0, [&](std::size_t) { called = true; });
     EXPECT_FALSE(called);
-}
-
-TEST(AtomicBitset, SetTestReset)
-{
-    AtomicBitset bits(200);
-    EXPECT_EQ(bits.size(), 200u);
-    EXPECT_TRUE(bits.none());
-    EXPECT_TRUE(bits.set(63));
-    EXPECT_FALSE(bits.set(63)); // second set reports already-set
-    EXPECT_TRUE(bits.test(63));
-    EXPECT_FALSE(bits.test(64));
-    EXPECT_EQ(bits.count(), 1u);
-    EXPECT_TRUE(bits.reset(63));
-    EXPECT_FALSE(bits.reset(63));
-    EXPECT_TRUE(bits.none());
-}
-
-TEST(AtomicBitset, ConcurrentSettersEachWinOnce)
-{
-    AtomicBitset bits(1 << 14);
-    std::atomic<int> first_sets{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&] {
-            for (std::size_t i = 0; i < bits.size(); ++i) {
-                if (bits.set(i))
-                    ++first_sets;
-            }
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-    EXPECT_EQ(first_sets.load(), 1 << 14);
-    EXPECT_EQ(bits.count(), std::size_t{1} << 14);
 }
 
 TEST(StatsRegistry, CountersAccumulateAndSnapshot)

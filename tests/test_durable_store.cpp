@@ -79,6 +79,10 @@ expectSamePreprocessed(const partition::Preprocessed &got,
     EXPECT_EQ(got.path_hot, want.path_hot);
     EXPECT_EQ(got.dag.num_sccs, want.dag.num_sccs);
     EXPECT_EQ(got.dag.layer, want.dag.layer);
+    EXPECT_EQ(got.dag.sketch.numEdges(), want.dag.sketch.numEdges());
+    // Rebuilt on load rather than stored.
+    EXPECT_EQ(got.dag.paths_in_scc, want.dag.paths_in_scc);
+    EXPECT_EQ(got.dag.giant_scc, want.dag.giant_scc);
     EXPECT_EQ(got.merges, want.merges);
 }
 
@@ -170,6 +174,28 @@ TEST_F(DurableStoreTest, LoadTopologyRejectsDifferentGraph)
     EXPECT_FALSE(store.loadTopology(v, other).has_value());
     EXPECT_EQ(store.recoverVersion(&other), 0u);
     EXPECT_EQ(store.recoverVersion(&g_), v);
+}
+
+TEST_F(DurableStoreTest, LoadTopologyRejectsSameShapeDifferentGraph)
+{
+    DurableStore store(this->store());
+    const std::uint64_t v = store.commitTopology(g_, pre_);
+    ASSERT_NE(v, 0u);
+
+    // Same vertex and edge counts, one edge weight changed: only the
+    // manifest's content checksum tells the two graphs apart.
+    graph::GraphBuilder b(g_.numVertices());
+    b.setDeduplicate(false);
+    b.setRemoveSelfLoops(false);
+    for (EdgeId e = 0; e < g_.numEdges(); ++e) {
+        const Value w = e == 0 ? g_.edgeWeight(e) + 1.0 : g_.edgeWeight(e);
+        b.addEdge(g_.edgeSource(e), g_.edgeTarget(e), w);
+    }
+    const auto twin = b.build();
+    ASSERT_EQ(twin.numVertices(), g_.numVertices());
+    ASSERT_EQ(twin.numEdges(), g_.numEdges());
+    EXPECT_FALSE(store.loadTopology(v, twin).has_value());
+    EXPECT_EQ(store.recoverVersion(&twin), 0u);
 }
 
 TEST_F(DurableStoreTest, EngineRunsIdenticallyFromLoadedTopology)

@@ -340,7 +340,7 @@ template <typename MakeAlgo>
 void
 checkEvolvingAgainstOracle(MakeAlgo make_algo, double tol,
                            bool expect_warm, const std::string &label,
-                           engine::EvolvingOptions evolve = {})
+                           engine::CatalogOptions evolve = {})
 {
     auto initial = testGraph(81);
     const VertexId n = initial.numVertices();
@@ -442,7 +442,7 @@ TEST(EvolvingIncremental, AdsorptionMatchesOracleAfterIngestion)
 
 TEST(EvolvingIncremental, FullRebuildModeMatchesOracle)
 {
-    engine::EvolvingOptions evolve;
+    engine::CatalogOptions evolve;
     evolve.incremental = false; // the pre-incremental baseline
     checkEvolvingAgainstOracle(
         [](const graph::DirectedGraph &) {
@@ -496,7 +496,7 @@ TEST(EvolvingIncremental, DegenerateBatchesAreHandled)
 
 TEST(EvolvingIncremental, RebuildFractionGuardTriggersFullPipeline)
 {
-    engine::EvolvingOptions evolve;
+    engine::CatalogOptions evolve;
     evolve.full_rebuild_fraction = 0.01; // almost any batch trips it
     engine::EvolvingEngine evolving(testGraph(83), smallOptions(),
                                     evolve);

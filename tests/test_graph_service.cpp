@@ -4,9 +4,12 @@
  * (DESIGN.md §15). Under test: the pure inter-job policy (priority /
  * quota / budget / co-scheduling decisions of scheduleJobs),
  * service-level priority ordering, per-tenant quota enforcement,
- * admission rejection, and the core preemption contract — a job parked
+ * admission rejection, the core preemption contract — a job parked
  * at wave boundaries converges bit-identical to an uninterrupted
- * dedicated run, per algorithm family.
+ * dedicated run, per algorithm family — and batch mode: jobs over one
+ * shared substrate match dedicated engines bitwise in any submission
+ * order, per-job traces exist exactly when requested, and an adopted
+ * substrate must match the graph.
  *
  * Timing note: integration tests that need jobs to queue submit a
  * long-running pagerank first; the competing submissions land within
@@ -24,7 +27,9 @@
 #include "engine/digraph_engine.hpp"
 #include "engine/graph_service.hpp"
 #include "engine/job_scheduler.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "metrics/counter_registry.hpp"
 #include "metrics/run_report.hpp"
 
 namespace digraph {
@@ -363,6 +368,7 @@ TEST(GraphService, AdoptedSubstrateIsValidatedAndShared)
     config.quantum_waves = 0;
     engine::GraphService service(g, sub, opts, config);
     EXPECT_EQ(service.substrate().get(), sub.get());
+    EXPECT_EQ(service.sharedBytes(), sub->memoryBytes());
 
     service.addJobAsync("wcc");
     const auto results = service.drain();
@@ -371,6 +377,93 @@ TEST(GraphService, AdoptedSubstrateIsValidatedAndShared)
     engine::DiGraphEngine check(g, opts);
     expectSameReport(results[0].report, check.run(*algo),
                      "wcc adopted");
+}
+
+TEST(GraphService, BatchResultsMatchDedicatedEnginesInAnyOrder)
+{
+    const auto g = testGraph();
+    const auto opts = testOptions();
+    const std::vector<std::string> specs = {"sssp:0", "pagerank", "wcc"};
+
+    // Dedicated engines, each with its OWN preprocessing: sharing the
+    // substrate must change nothing observable.
+    std::vector<metrics::RunReport> dedicated;
+    for (const auto &spec : specs) {
+        engine::DiGraphEngine eng(g, opts);
+        const auto algo = algorithms::makeAlgorithmSpec(spec, g);
+        dedicated.push_back(eng.run(*algo));
+    }
+
+    engine::ServiceConfig config;
+    config.quantum_waves = 0; // batch: no preemption
+    for (const bool reversed : {false, true}) {
+        std::vector<std::string> order = specs;
+        if (reversed)
+            std::reverse(order.begin(), order.end());
+        engine::GraphService service(g, opts, config);
+        for (const auto &spec : order)
+            service.addJobAsync(spec);
+        const auto results = service.drain();
+        ASSERT_EQ(results.size(), order.size());
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            EXPECT_EQ(results[i].spec, order[i]); // admission order
+            EXPECT_GT(results[i].job_state_bytes, 0u) << order[i];
+            const auto ref =
+                std::find(specs.begin(), specs.end(), order[i]) -
+                specs.begin();
+            expectSameReport(results[i].report, dedicated[ref],
+                             order[i]);
+        }
+    }
+}
+
+TEST(GraphService, PerJobTracesExactlyWhenRequested)
+{
+    const auto g = testGraph();
+    for (const bool with_traces : {false, true}) {
+        engine::ServiceConfig config;
+        config.quantum_waves = 0;
+        config.with_traces = with_traces;
+        engine::GraphService service(g, testOptions(), config);
+        for (const char *spec : {"sssp:0", "pagerank", "kcore:2"})
+            service.addJobAsync(spec);
+        const auto results = service.drain();
+        ASSERT_EQ(results.size(), 3u);
+        for (const auto &job : results) {
+            EXPECT_EQ(job.counters,
+                      metrics::CounterRegistry::fromReport(job.report))
+                << job.spec;
+            if (!with_traces) {
+                EXPECT_EQ(job.trace, nullptr) << job.spec;
+                continue;
+            }
+            ASSERT_NE(job.trace, nullptr) << job.spec;
+            EXPECT_EQ(job.trace->counters(), job.counters) << job.spec;
+        }
+    }
+}
+
+TEST(GraphServiceDeathTest, AdoptRejectsVertexCountMismatch)
+{
+    // Graph B has the same edges as graph A plus one extra isolated
+    // vertex: the substrate's edge-count check alone would pass, so
+    // the vertex-count check must catch the mismatch.
+    const auto makeChain = [](VertexId n) {
+        graph::GraphBuilder builder(n);
+        builder.addEdge(0, 1);
+        builder.addEdge(1, 2);
+        builder.addEdge(2, 3);
+        return builder.build();
+    };
+    const auto a = makeChain(4);
+    const auto b = makeChain(5);
+    const auto opts = testOptions();
+
+    engine::DiGraphEngine eng(a, opts);
+    const auto sub = eng.substrate();
+    ASSERT_EQ(sub->pre.paths.numEdges(), b.numEdges());
+    EXPECT_EXIT(engine::GraphService(b, sub, opts),
+                ::testing::ExitedWithCode(1), "vertices");
 }
 
 } // namespace

@@ -16,7 +16,7 @@
 #include "algorithms/factory.hpp"
 #include "algorithms/multi_source.hpp"
 #include "engine/digraph_engine.hpp"
-#include "engine/job_manager.hpp"
+#include "engine/graph_service.hpp"
 #include "test_util.hpp"
 
 namespace digraph {
@@ -211,9 +211,12 @@ TEST(MultiSourceLanes, ServiceRunsLaneJobsAsBatchClass)
     // submitted by spec, run over the shared substrate, reported with
     // per-lane states.
     const auto g = graph::makeDataset(graph::Dataset::dblp, 0.1);
-    engine::JobManager manager(g, engine::EngineOptions{});
-    manager.addJobs("msbfs:0+5+9,pagerank,ppr:1+7");
-    const auto results = manager.runAll(false);
+    engine::ServiceConfig config;
+    config.quantum_waves = 0; // batch: no preemption
+    engine::GraphService service(g, engine::EngineOptions{}, config);
+    for (const char *spec : {"msbfs:0+5+9", "pagerank", "ppr:1+7"})
+        service.addJobAsync(spec);
+    const auto results = service.drain();
     ASSERT_EQ(results.size(), 3u);
 
     EXPECT_EQ(results[0].report.value_lanes, 3u);

@@ -2,17 +2,17 @@
  * @file
  * Wave-kernel registry tests (DESIGN.md §14):
  *
- *  1. every factory algorithm resolves to a SPECIALIZED kernel for every
- *     (execution mode x trace) combination — no virtual fallback;
- *  2. the specialized hot loop provably never enters the virtual
- *     processing interface: a PageRank subclass that counts its virtual
- *     calls sees ZERO of them, while the same subclass opting out via
- *     kernelTag() == "" routes through the generic kernel and sees many
- *     — with bit-identical results either way.
+ *  1. every factory algorithm resolves to its registry kernel for every
+ *     (execution mode x trace) combination;
+ *  2. the hot loop provably never enters the virtual processing
+ *     interface: a PageRank subclass that counts its virtual calls sees
+ *     ZERO of them;
+ *  3. an algorithm no registry row realizes — an unknown tag, a
+ *     subclass opting out via kernelTag() == "", a lane run of a scalar
+ *     class — resolves to nothing, and the engine rejects it by name.
  */
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -46,14 +46,6 @@ testGraph()
     return graph::generate(c);
 }
 
-std::uint64_t
-bits(double v)
-{
-    std::uint64_t u = 0;
-    std::memcpy(&u, &v, sizeof(u));
-    return u;
-}
-
 // ------------------------------------------------- registry coverage
 
 TEST(WaveKernels, EveryAlgorithmResolvesSpecializedEverywhere)
@@ -76,10 +68,10 @@ TEST(WaveKernels, EveryAlgorithmResolvesSpecializedEverywhere)
                     name + " mode=" +
                     std::to_string(static_cast<int>(mode)) +
                     " trace=" + std::to_string(trace_on);
-                EXPECT_TRUE(k.specialized) << label;
-                EXPECT_EQ(k.name, name) << label;
-                ASSERT_NE(k.compute, nullptr) << label;
-                ASSERT_NE(k.policy, nullptr) << label;
+                ASSERT_TRUE(k.has_value()) << label;
+                EXPECT_EQ(k->name, name) << label;
+                ASSERT_NE(k->compute, nullptr) << label;
+                ASSERT_NE(k->policy, nullptr) << label;
             }
         }
     }
@@ -121,17 +113,6 @@ class UnregisteredAlgo : public algorithms::Algorithm
         return current != at_load;
     }
 };
-
-TEST(WaveKernels, UnknownTagFallsBackToGeneric)
-{
-    const UnregisteredAlgo algo;
-    engine::EngineOptions opts;
-    const auto k = engine::resolveWaveKernel(algo, opts, false);
-    EXPECT_FALSE(k.specialized);
-    EXPECT_EQ(k.name, "generic:unregistered");
-    ASSERT_NE(k.compute, nullptr);
-    EXPECT_EQ(k.policy, nullptr);
-}
 
 // ---------------------------------------------- zero-virtual-call proof
 
@@ -204,8 +185,8 @@ class CountingPageRank : public algorithms::PageRank
     CallCounters *counters_;
 };
 
-/** Semantics-changing-by-declaration subclass: opts out of the registry,
- *  forcing the generic virtual-dispatch kernel. */
+/** Semantics-changing-by-declaration subclass: opts out of the
+ *  registry, so the engine must refuse to run it. */
 class OptOutPageRank : public CountingPageRank
 {
   public:
@@ -227,40 +208,42 @@ TEST(WaveKernels, SpecializedKernelMakesZeroVirtualCalls)
 {
     const auto g = testGraph();
 
-    CallCounters specialized_calls;
-    const CountingPageRank counting(specialized_calls);
-    const auto specialized = runCounting(g, counting);
-    EXPECT_TRUE(specialized.kernel_specialized);
-    EXPECT_EQ(specialized.kernel, "pagerank");
-    EXPECT_EQ(specialized_calls.total(), 0u)
+    CallCounters calls;
+    const CountingPageRank counting(calls);
+    const auto report = runCounting(g, counting);
+    EXPECT_EQ(report.kernel, "pagerank");
+    EXPECT_GT(report.edge_processings, 0u);
+    EXPECT_EQ(calls.total(), 0u)
         << "specialized hot loop entered the virtual interface: "
-        << "processEdge=" << specialized_calls.process_edge
-        << " mergeMaster=" << specialized_calls.merge_master
-        << " pushValue=" << specialized_calls.push_value
-        << " hasPush=" << specialized_calls.has_push
-        << " pull=" << specialized_calls.pull;
+        << "processEdge=" << calls.process_edge
+        << " mergeMaster=" << calls.merge_master
+        << " pushValue=" << calls.push_value
+        << " hasPush=" << calls.has_push << " pull=" << calls.pull;
+}
 
-    CallCounters generic_calls;
-    const OptOutPageRank opted_out(generic_calls);
-    const auto generic = runCounting(g, opted_out);
-    EXPECT_FALSE(generic.kernel_specialized);
-    EXPECT_EQ(generic.kernel, "generic:pagerank");
-    EXPECT_GT(generic_calls.process_edge, 0u);
-    EXPECT_GT(generic_calls.merge_master, 0u);
-    EXPECT_GT(generic_calls.has_push, 0u);
+TEST(WaveKernelsDeathTest, UnregisteredAlgorithmsAreRejected)
+{
+    const auto g = testGraph();
+    const engine::EngineOptions opts;
 
-    // Specialization is a pure execution detail: both runs must agree
-    // bit for bit, counters included.
-    EXPECT_EQ(specialized.waves, generic.waves);
-    EXPECT_EQ(specialized.edge_processings, generic.edge_processings);
-    EXPECT_EQ(specialized.vertex_updates, generic.vertex_updates);
-    EXPECT_EQ(bits(specialized.sim_cycles), bits(generic.sim_cycles));
-    ASSERT_EQ(specialized.final_state.size(), generic.final_state.size());
-    for (std::size_t v = 0; v < specialized.final_state.size(); ++v) {
-        ASSERT_EQ(bits(specialized.final_state[v]),
-                  bits(generic.final_state[v]))
-            << "vertex " << v;
-    }
+    const UnregisteredAlgo unregistered;
+    CallCounters calls;
+    const OptOutPageRank opted_out(calls);
+    EXPECT_FALSE(
+        engine::resolveWaveKernel(unregistered, opts, false).has_value());
+    EXPECT_FALSE(
+        engine::resolveWaveKernel(opted_out, opts, false).has_value());
+    // A scalar class matches no lane row.
+    const algorithms::PageRank scalar;
+    EXPECT_FALSE(
+        engine::resolveWaveKernel(scalar, opts, false, 4).has_value());
+
+    EXPECT_EXIT((void)runCounting(g, unregistered),
+                ::testing::ExitedWithCode(1),
+                "algorithm 'unregistered'.*no registered wave kernel");
+    EXPECT_EXIT((void)runCounting(g, opted_out),
+                ::testing::ExitedWithCode(1),
+                "algorithm 'pagerank' \\(kernel tag ''\\)");
 }
 
 } // namespace

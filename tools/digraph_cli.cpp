@@ -9,18 +9,21 @@
  *               [--source V] [--k K] [--lanes LIST] [--verbose]
  *               [--trace out.json] [--trace-csv out.csv]
  *               [--faults SPEC] [--verify]
- *               [--jobs "sssp:0,pagerank,wcc"]
- *               [--serve script.jobs [--serve-threads N]
- *                [--serve-quantum W] [--serve-budget-mb MB]
- *                [--serve-queue N] [--serve-quota N] [--serve-fifo]]
+ *               [--jobs "sssp:0,pagerank,wcc" | --serve script.jobs]
+ *               [--serve-threads N] [--serve-quantum W]
+ *               [--serve-budget-mb MB] [--serve-queue N]
+ *               [--serve-quota N] [--serve-fifo]
  *               [--store DIR [--store-version N]]
  *               [--evolve-batches N] [--evolve-batch-size M]
  *               [--evolve-full-rebuild] [--evolve-seed S]
  *   digraph_cli --list-algorithms
  *
- * --jobs runs N concurrent jobs (comma-separated "name[:param]" specs)
- * over ONE shared substrate (digraph system only) and prints a per-job
- * report; --list-algorithms prints the factory registry.
+ * --jobs LIST is an inline --serve script (digraph system only): the
+ * comma-separated "name[:param]" specs, each trimmed of surrounding
+ * whitespace and with empty entries skipped, are the session's
+ * requests, and everything below about --serve (the --serve-* flags,
+ * --store recovery and journaling, traces, the per-job report) applies
+ * unchanged. --list-algorithms prints the factory registry.
  *
  * --lanes LIST runs a batched multi-source job (digraph systems only):
  * "--algo ppr --lanes 3+7+12" solves one personalized PageRank per
@@ -39,8 +42,7 @@
  * co-scheduling; --serve-fifo disables preemption and co-scheduling
  * (plain FIFO within priority, for comparison). With --trace/--trace-csv
  * the base path gets the scheduler events (job_admit/grant/park/done)
- * and each job gets a ".<id>-<spec>"-suffixed file pair — the same
- * per-job naming --jobs uses.
+ * and each job gets a ".<id>-<spec>"-suffixed file pair.
  *
  * A script line "update FILE [tenant=..] [priority=..]" submits a
  * live-graph update (DESIGN.md §18): FILE's edge batch is ingested as
@@ -60,8 +62,8 @@
  * preprocess + commit when nothing verifies; --store-version pins an
  * exact version instead (fatal when it does not verify). Single runs
  * additionally flush merge-barrier checkpoints through the store and
- * --serve sessions journal admitted/completed jobs to DIR/jobs.wal,
- * re-admitting the pending set on restart.
+ * --serve / --jobs sessions journal admitted/completed jobs to
+ * DIR/jobs.wal, re-admitting the pending set on restart.
  *
  * --faults takes a deterministic injection plan (digraph systems only),
  * e.g. "seed=7,device=1@50000,xfer=0.01,smx=0.3@20000x16"; --verify runs
@@ -105,7 +107,6 @@
 #include "engine/digraph_engine.hpp"
 #include "engine/evolving.hpp"
 #include "engine/graph_service.hpp"
-#include "engine/job_manager.hpp"
 #include "graph/formats.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
@@ -161,10 +162,10 @@ usage(const char *argv0)
         "          [--source V] [--k K] [--lanes LIST] [--verbose]\n"
         "          [--trace out.json] [--trace-csv out.csv]\n"
         "          [--faults SPEC] [--verify]\n"
-        "          [--jobs \"sssp:0,pagerank,wcc\"]\n"
-        "          [--serve script.jobs [--serve-threads N]\n"
-        "           [--serve-quantum W] [--serve-budget-mb MB]\n"
-        "           [--serve-queue N] [--serve-quota N] [--serve-fifo]]\n"
+        "          [--jobs \"sssp:0,pagerank,wcc\" | --serve script.jobs]\n"
+        "          [--serve-threads N] [--serve-quantum W]\n"
+        "          [--serve-budget-mb MB] [--serve-queue N]\n"
+        "          [--serve-quota N] [--serve-fifo]\n"
         "          [--store DIR [--store-version N]]\n"
         "          [--evolve-batches N] [--evolve-batch-size M]\n"
         "          [--evolve-full-rebuild] [--evolve-seed S]\n"
@@ -453,6 +454,17 @@ writeJobTraces(const std::vector<engine::JobResult> &results,
     }
 }
 
+/** Whether @p name is a factory algorithm. ppr/msbfs are spec-only
+ *  (they need a source list), so they are not in the parameterless
+ *  factory registry. */
+bool
+knownAlgorithm(const std::string &name)
+{
+    const auto known = algorithms::allAlgorithmNames();
+    return name == "ppr" || name == "msbfs" ||
+           std::find(known.begin(), known.end(), name) != known.end();
+}
+
 /** "file:line: message" prefix for --serve script diagnostics. */
 [[noreturn]] void
 scriptError(const std::string &path, std::size_t line_no,
@@ -475,7 +487,6 @@ parseServeScript(const std::string &path)
     std::ifstream in(path);
     if (!in)
         fatal("digraph_cli: cannot read --serve script '", path, "'");
-    const auto known_algos = algorithms::allAlgorithmNames();
     std::vector<engine::JobRequest> requests;
     std::string raw;
     std::size_t line_no = 0;
@@ -538,11 +549,7 @@ parseServeScript(const std::string &path)
             // script line, not abort mid-session at submission time.
             const std::string name =
                 request.spec.substr(0, request.spec.find(':'));
-            // ppr/msbfs are spec-only (they need a source list), so
-            // they are not in the parameterless factory registry.
-            if (name != "ppr" && name != "msbfs" &&
-                std::find(known_algos.begin(), known_algos.end(),
-                          name) == known_algos.end()) {
+            if (!knownAlgorithm(name)) {
                 scriptError(path, line_no, raw,
                             "unknown algorithm '" + name + "'");
             }
@@ -553,6 +560,32 @@ parseServeScript(const std::string &path)
         fatal("digraph_cli: --serve script '", path,
               "' contains no jobs");
     }
+    return requests;
+}
+
+/** Parse a --jobs list: comma-separated specs, trimmed, with empty
+ *  entries (trailing or doubled commas) skipped. As for a --serve
+ *  script, an unknown algorithm or an empty list is fatal here, before
+ *  any substrate is built. */
+std::vector<engine::JobRequest>
+parseJobList(const std::string &list)
+{
+    std::vector<engine::JobRequest> requests;
+    std::istringstream entries(list);
+    std::string spec;
+    while (std::getline(entries, spec, ',')) {
+        const std::size_t first = spec.find_first_not_of(" \t");
+        if (first == std::string::npos)
+            continue;
+        spec = spec.substr(first,
+                           spec.find_last_not_of(" \t") - first + 1);
+        const std::string name = spec.substr(0, spec.find(':'));
+        if (!engine::isUpdateSpec(spec) && !knownAlgorithm(name))
+            fatal("digraph_cli: --jobs: unknown algorithm '", name, "'");
+        requests.push_back(engine::JobRequest{spec});
+    }
+    if (requests.empty())
+        fatal("digraph_cli: no job specs in --jobs list '", list, "'");
     return requests;
 }
 
@@ -687,9 +720,11 @@ main(int argc, char **argv)
         if (want_trace)
             store->setTrace(&sink);
     }
-    // --serve recovers through the epoch chain instead (below); this
-    // generic warm start serves the single-run and --jobs paths.
-    if (store && opts.serve_script.empty()) {
+    // --serve and --jobs sessions recover through the epoch chain
+    // instead (below); this substrate-level warm start serves single
+    // runs only.
+    const bool serving = !opts.serve_script.empty() || !opts.jobs.empty();
+    if (store && !serving) {
         store_version = opts.store_version
                             ? opts.store_version
                             : store->recoverVersion(&g);
@@ -726,13 +761,19 @@ main(int argc, char **argv)
         }
     }
 
-    if (!opts.serve_script.empty()) {
+    if (serving) {
+        const char *flag = opts.jobs.empty() ? "--serve" : "--jobs";
         if (opts.system != "digraph")
-            fatal("digraph_cli: --serve requires --system digraph");
-        if (!opts.jobs.empty() || opts.evolve_batches > 0)
-            fatal("digraph_cli: --serve is mutually exclusive with "
-                  "--jobs and --evolve-batches");
-        const auto requests = parseServeScript(opts.serve_script);
+            fatal("digraph_cli: ", flag, " requires --system digraph");
+        if (!opts.serve_script.empty() && !opts.jobs.empty())
+            fatal("digraph_cli: --serve and --jobs are mutually "
+                  "exclusive");
+        if (opts.evolve_batches > 0)
+            fatal("digraph_cli: ", flag, " and --evolve-batches are "
+                  "mutually exclusive");
+        const auto requests = opts.jobs.empty()
+                                  ? parseServeScript(opts.serve_script)
+                                  : parseJobList(opts.jobs);
         engine::ServiceConfig sconfig;
         sconfig.session_threads = opts.serve_threads;
         sconfig.quantum_waves =
@@ -914,42 +955,13 @@ main(int argc, char **argv)
         }
         return 0;
     }
-    if (!opts.jobs.empty()) {
-        if (opts.system != "digraph")
-            fatal("digraph_cli: --jobs requires --system digraph");
-        if (opts.evolve_batches > 0)
-            fatal("digraph_cli: --jobs and --evolve-batches are "
-                  "mutually exclusive");
-        auto manager_ptr =
-            sub ? std::make_unique<engine::JobManager>(g, sub, eopts)
-                : std::make_unique<engine::JobManager>(g, eopts);
-        engine::JobManager &manager = *manager_ptr;
-        manager.addJobs(opts.jobs);
-        const auto results = manager.runAll(want_trace);
-        std::printf("jobs          %zu over one shared substrate\n",
-                    results.size());
-        std::printf("shared bytes  %.3f MB\n",
-                    static_cast<double>(manager.sharedBytes()) / 1e6);
-        for (const auto &job : results) {
-            std::printf("--- job %s (%.3f MB private state)\n",
-                        job.spec.c_str(),
-                        static_cast<double>(job.job_state_bytes) / 1e6);
-            printReport(job.report,
-                        manager.substrate()->pre.timings.total());
-        }
-        // One spec-suffixed file pair per job (exporting only the first
-        // job's trace silently dropped the rest).
-        if (want_trace)
-            writeJobTraces(results, opts);
-        return 0;
-    }
     if (opts.evolve_batches > 0) {
         if (opts.algo == "adsorption") {
             fatal("digraph_cli: --evolve-batches does not support "
                   "adsorption (its per-edge weights are bound to the "
                   "construction-time graph)");
         }
-        engine::EvolvingOptions evolve;
+        engine::CatalogOptions evolve;
         evolve.incremental = !opts.evolve_full_rebuild;
         engine::EvolvingEngine evolving(g, eopts, evolve);
         evolving.run(*algo);
