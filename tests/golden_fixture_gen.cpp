@@ -28,6 +28,13 @@
  * (test::testGraphs()) every algorithm does. They were recorded by the
  * engine that ran each chunk's partitions on worker threads, before
  * dispatches ran one at a time in the same order.
+ *
+ * The lanes_* fixtures pin batched multi-source runs on the golden
+ * graph: ppr and msbfs, each at K = 8 (the compile-time lane body) and
+ * K = 12 (the run-time-K body), one in each path mode. Besides the
+ * headline counters they hold lane_converged_wave and every lane's
+ * final state. They were recorded by the engine that kept a separate
+ * lane wave body and lane value arrays beside the scalar ones.
  */
 
 #include <cinttypes>
@@ -39,6 +46,7 @@
 
 #include "algorithms/factory.hpp"
 #include "algorithms/hits.hpp"
+#include "algorithms/multi_source.hpp"
 #include "common/logging.hpp"
 #include "engine/digraph_engine.hpp"
 #include "graph/generators.hpp"
@@ -96,9 +104,23 @@ writeFixture(const std::string &dir, const std::string &prefix,
     std::fprintf(f, "edge_processings %" PRIu64 "\n",
                  report.edge_processings);
     std::fprintf(f, "vertex_updates %" PRIu64 "\n", report.vertex_updates);
-    std::fprintf(f, "state %zu\n", report.final_state.size());
-    for (const Value v : report.final_state)
-        std::fprintf(f, "%016" PRIx64 "\n", bits(v));
+    if (report.lane_states.empty()) {
+        std::fprintf(f, "state %zu\n", report.final_state.size());
+        for (const Value v : report.final_state)
+            std::fprintf(f, "%016" PRIx64 "\n", bits(v));
+    } else {
+        // Lane runs: final_state is lane 0, so only the lanes are kept.
+        std::fprintf(f, "lane_converged_wave %zu\n",
+                     report.lane_converged_wave.size());
+        for (const std::uint64_t w : report.lane_converged_wave)
+            std::fprintf(f, "%" PRIu64 "\n", w);
+        for (std::size_t l = 0; l < report.lane_states.size(); ++l) {
+            std::fprintf(f, "lane %zu %zu\n", l,
+                         report.lane_states[l].size());
+            for (const Value v : report.lane_states[l])
+                std::fprintf(f, "%016" PRIx64 "\n", bits(v));
+        }
+    }
     std::fclose(f);
     std::printf("wrote %s (waves=%" PRIu64 ", edges=%" PRIu64 ")\n",
                 path.c_str(), report.waves, report.edge_processings);
@@ -194,6 +216,34 @@ main(int argc, char **argv)
         writeFixture(dir, "longdist_",
                      "longdist test graph, chunked parallel waves", name,
                      engine::ExecutionMode::PathAsync, eng.run(*algo));
+    }
+
+    // Batched lane runs: both lane bodies (K = 8 compile-time, K = 12
+    // run-time), both lane policies and both path modes.
+    struct LaneCase
+    {
+        const char *algo;
+        unsigned lanes;
+        engine::ExecutionMode mode;
+    };
+    for (const LaneCase c :
+         {LaneCase{"ppr", 8, engine::ExecutionMode::PathAsync},
+          LaneCase{"ppr", 12, engine::ExecutionMode::PathNoSched},
+          LaneCase{"msbfs", 8, engine::ExecutionMode::PathNoSched},
+          LaneCase{"msbfs", 12, engine::ExecutionMode::PathAsync}}) {
+        const std::vector<VertexId> seeds =
+            test::laneSeeds(g.numVertices(), c.lanes);
+        engine::EngineOptions opts;
+        opts.mode = c.mode;
+        opts.platform = smallPlatform();
+        engine::DiGraphEngine eng(g, opts);
+        const std::string algo = std::string(c.algo) + std::to_string(c.lanes);
+        const metrics::RunReport report =
+            std::string(c.algo) == "ppr"
+                ? eng.run(algorithms::Ppr(seeds))
+                : eng.run(algorithms::MsBfs(seeds));
+        writeFixture(dir, "lanes_", "separate lane wave body", algo,
+                     c.mode, report);
     }
     return 0;
 }

@@ -15,7 +15,9 @@
  * scale 0.02, whose hubs are mirrored by more than 32 partitions; both
  * are held bit for bit (see golden_fixture_gen.cpp for their origin).
  * The longdist_* fixtures pin the wave dispatch order of every factory
- * algorithm on the longdist test graph, bit for bit.
+ * algorithm on the longdist test graph, bit for bit. The lanes_*
+ * fixtures pin batched ppr and msbfs runs at K = 8 and K = 12, every
+ * lane bit for bit.
  */
 
 #include <cstdint>
@@ -30,6 +32,7 @@
 
 #include "algorithms/factory.hpp"
 #include "algorithms/hits.hpp"
+#include "algorithms/multi_source.hpp"
 #include "engine/digraph_engine.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
@@ -83,6 +86,9 @@ struct Fixture
     std::uint64_t edge_processings = 0;
     std::uint64_t vertex_updates = 0;
     std::vector<std::uint64_t> state_bits;
+    /** Lane runs only (state_bits then stays empty). */
+    std::vector<std::uint64_t> lane_converged_wave;
+    std::vector<std::vector<std::uint64_t>> lane_bits;
 };
 
 Fixture
@@ -117,6 +123,21 @@ loadFixture(const std::string &algo, const std::string &mode)
                 fx.state_bits.push_back(
                     std::stoull(line, nullptr, 16));
             }
+        } else if (key == "lane_converged_wave") {
+            std::size_t count = 0;
+            ss >> count;
+            while (fx.lane_converged_wave.size() < count &&
+                   std::getline(in, line)) {
+                fx.lane_converged_wave.push_back(std::stoull(line));
+            }
+        } else if (key == "lane") {
+            std::size_t lane = 0, count = 0;
+            ss >> lane >> count;
+            EXPECT_EQ(lane, fx.lane_bits.size()) << path;
+            auto &dst = fx.lane_bits.emplace_back();
+            dst.reserve(count);
+            while (dst.size() < count && std::getline(in, line))
+                dst.push_back(std::stoull(line, nullptr, 16));
         }
     }
     EXPECT_EQ(fx.state_bits.size(), expected_states) << path;
@@ -277,6 +298,59 @@ TEST(GoldenIdentity, LongdistGraphPinsWaveOrder)
         const auto report =
             runGolden(g, algo, engine::ExecutionMode::PathAsync);
         expectBitwise(fx, report, "longdist " + algo);
+    }
+}
+
+// --------------------------------------------------------- batched lanes
+
+TEST(GoldenIdentity, LaneRunsBitwise)
+{
+    // Both lane bodies (K = 8 compile-time, K = 12 run-time), both lane
+    // policies and both path modes; every lane is held bit for bit, the
+    // accumulative ppr included, with sim cycles and the per-lane
+    // convergence waves.
+    const auto g = goldenGraph();
+    struct Case
+    {
+        const char *algo;
+        unsigned lanes;
+        engine::ExecutionMode mode;
+    };
+    for (const Case c :
+         {Case{"ppr", 8, engine::ExecutionMode::PathAsync},
+          Case{"ppr", 12, engine::ExecutionMode::PathNoSched},
+          Case{"msbfs", 8, engine::ExecutionMode::PathNoSched},
+          Case{"msbfs", 12, engine::ExecutionMode::PathAsync}}) {
+        const std::string algo = c.algo + std::to_string(c.lanes);
+        const std::string label = algo + " " + engine::modeName(c.mode);
+        const Fixture fx =
+            loadFixture("lanes_" + algo, engine::modeName(c.mode));
+        const auto seeds = test::laneSeeds(g.numVertices(), c.lanes);
+        engine::EngineOptions opts;
+        opts.mode = c.mode;
+        opts.platform = smallPlatform();
+        engine::DiGraphEngine eng(g, opts);
+        const auto report = std::string(c.algo) == "ppr"
+                                ? eng.run(algorithms::Ppr(seeds))
+                                : eng.run(algorithms::MsBfs(seeds));
+        EXPECT_EQ(report.waves, fx.waves) << label;
+        EXPECT_EQ(report.edge_processings, fx.edge_processings) << label;
+        EXPECT_EQ(report.vertex_updates, fx.vertex_updates) << label;
+        EXPECT_EQ(bits(report.sim_cycles), fx.sim_cycles_bits) << label;
+        EXPECT_EQ(report.lane_converged_wave, fx.lane_converged_wave)
+            << label;
+        ASSERT_EQ(fx.lane_bits.size(), c.lanes) << label;
+        ASSERT_EQ(report.lane_states.size(), c.lanes) << label;
+        for (unsigned l = 0; l < c.lanes; ++l) {
+            const auto &want = fx.lane_bits[l];
+            const auto &got = report.lane_states[l];
+            ASSERT_EQ(got.size(), want.size()) << label << " lane " << l;
+            for (std::size_t v = 0; v < want.size(); ++v) {
+                ASSERT_EQ(bits(got[v]), want[v])
+                    << label << " lane " << l << ": vertex " << v;
+            }
+        }
+        EXPECT_TRUE(eng.activationBookkeepingConsistent()) << label;
     }
 }
 

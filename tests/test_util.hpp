@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,18 @@ expectStatesNear(const std::vector<Value> &got,
                 << label << ": vertex " << v;
         }
     }
+}
+
+/** @p k lane seeds spread over [0, n) in steps of 149 (distinct for
+ *  k <= n when n is coprime to 149). */
+inline std::vector<VertexId>
+laneSeeds(VertexId n, unsigned k)
+{
+    std::vector<VertexId> seeds;
+    for (unsigned l = 0; l < k; ++l)
+        seeds.push_back(static_cast<VertexId>(
+            (std::uint64_t{l} * 149 + 7) % n));
+    return seeds;
 }
 
 /** A named test graph. */
