@@ -1,21 +1,28 @@
 #!/bin/sh
-# Check the CLI's --jobs list parsing end to end.
+# Check the CLI's --jobs list parsing and its digraph-only flags end to
+# end.
 #
 # --jobs is an inline --serve script: its comma-separated specs are
 # trimmed, empty entries are skipped, and what is left becomes the
 # session's request list, one "--- job SPEC ..." report line per job.
 #
-#   list   a padded list with doubled and trailing commas runs exactly
-#          its two jobs: one "--- job" line for sssp:0, one for wcc,
-#          and no other
-#   empty  a list of nothing but separators exits 1 with "no job specs"
+#   list      a padded list with doubled and trailing commas runs
+#             exactly its two jobs: one "--- job" line for sssp:0, one
+#             for wcc, and no other
+#   empty     a list of nothing but separators exits 1 with "no job
+#             specs"
+#   baseline  each digraph-only flag (--jobs, --serve, --lanes,
+#             --evolve-batches, --verify) given to a baseline system
+#             (gunrock, groute, sequential) exits 1 with a diagnostic
+#             naming the flag and the system
 #
-# Usage: ci/cli_jobs.sh /path/to/digraph_cli list|empty
+# Usage: ci/cli_jobs.sh /path/to/digraph_cli list|empty|baseline
 # Exit codes: 0 ok, 1 check failure.
 set -u
 
-CLI="${1:?usage: cli_jobs.sh /path/to/digraph_cli list|empty}"
-MODE="${2:?usage: cli_jobs.sh /path/to/digraph_cli list|empty}"
+USAGE="usage: cli_jobs.sh /path/to/digraph_cli list|empty|baseline"
+CLI="${1:?$USAGE}"
+MODE="${2:?$USAGE}"
 
 fail() {
     echo "cli_jobs: $1" >&2
@@ -39,6 +46,28 @@ empty)
     [ "$STATUS" -eq 1 ] || fail "exit status $STATUS, expected 1"
     printf '%s\n' "$OUT" | grep -q "no job specs" ||
         fail "missing 'no job specs' diagnostic"
+    ;;
+baseline)
+    # expect_rejected SYSTEM FLAG [ARGS...]: exit 1, and the diagnostic
+    # names FLAG and SYSTEM.
+    expect_rejected() {
+        SYSTEM="$1"
+        FLAG="$2"
+        shift 2
+        OUT=$("$CLI" --dataset dblp --scale 0.05 --system "$SYSTEM" \
+            "$@" 2>&1)
+        STATUS=$?
+        [ "$STATUS" -eq 1 ] ||
+            fail "$SYSTEM $FLAG: exit status $STATUS, expected 1"
+        printf '%s\n' "$OUT" |
+            grep -q -- "$FLAG requires a digraph system.*'$SYSTEM'" ||
+            fail "$SYSTEM $FLAG: missing diagnostic naming $FLAG and $SYSTEM"
+    }
+    expect_rejected gunrock --jobs --jobs "sssp:0,wcc"
+    expect_rejected sequential --serve --serve jobs.txt
+    expect_rejected groute --lanes --algo ppr --lanes 1,2,3
+    expect_rejected sequential --evolve-batches --evolve-batches 2
+    expect_rejected gunrock --verify --verify
     ;;
 *)
     echo "cli_jobs: unknown mode '$MODE'" >&2

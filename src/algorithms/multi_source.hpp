@@ -7,8 +7,8 @@
  * lane — only the initial state differs per lane (the seed / reset
  * vector). That restriction is what lets the engine process all K lanes
  * of an edge in one pass: the per-edge math is lane-oblivious, so the
- * specialized wave kernels reuse the scalar kernel policies unchanged
- * on each lane's value stripe.
+ * one wave body runs the scalar kernel policies unchanged on each lane
+ * of a K-value stripe (a scalar algorithm is the K = 1 run).
  *
  * Lane semantics contract: lane l of a K-wide run must converge to the
  * same fixed point as a scalar run of the equivalent single-source
@@ -42,7 +42,7 @@ inline constexpr unsigned kMaxValueLanes = 64;
  * Algorithm — it is applied to every lane — while initialization gains
  * a lane dimension. The scalar initVertex/initActive entry points are
  * final and route to lane 0, so a LaneAlgorithm handed to a
- * lane-oblivious engine (baselines, flat mode) computes lane 0.
+ * lane-oblivious engine (the baselines) computes lane 0.
  */
 class LaneAlgorithm : public Algorithm
 {
@@ -91,10 +91,11 @@ class LaneAlgorithm : public Algorithm
 /**
  * Policy adapter for lane algorithms — the LaneAlgorithm counterpart of
  * PolicyAlgorithm (a parallel adapter rather than a mixin, to keep the
- * hierarchy diamond-free). The engine's lane kernels copy the policy
- * and run it per lane with zero virtual dispatch; lane resolution
- * (wave_kernel.cpp) matches on kernelTag() + a dynamic_cast to this
- * adapter, mirroring the scalar tryResolve contract.
+ * hierarchy diamond-free). The engine copies the policy into the wave
+ * body instantiated for lanes() and runs it per lane with zero virtual
+ * dispatch; lane resolution (wave_kernel.cpp) matches on kernelTag() +
+ * a dynamic_cast to this adapter, mirroring the scalar tryResolve
+ * contract.
  */
 template <class Policy>
 class LanePolicyAlgorithm : public LaneAlgorithm
@@ -106,7 +107,7 @@ class LanePolicyAlgorithm : public LaneAlgorithm
         : policy_(std::move(policy))
     {}
 
-    /** The policy copied into specialized lane kernels. */
+    /** The policy copied into the specialized wave body. */
     const Policy &kernelPolicy() const { return policy_; }
 
     bool

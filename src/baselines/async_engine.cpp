@@ -7,7 +7,6 @@
 #include "common/logging.hpp"
 #include "common/timer.hpp"
 #include "engine/convergence.hpp"
-#include "engine/value_plane.hpp"
 #include "gpusim/platform.hpp"
 #include "metrics/counter_registry.hpp"
 #include "metrics/trace.hpp"
@@ -69,13 +68,12 @@ runAsync(const graph::DirectedGraph &g, const algorithms::Algorithm &algo,
                         edges * (sizeof(VertexId) + sizeof(Value));
     }
 
-    // State: the shared per-job value plane in flat mode (async reads
-    // the latest values in place; no double buffer).
-    engine::ValuePlane plane;
-    plane.initFlat(g, algo, /*double_buffer=*/false);
-    auto &state = plane.vertex_values;
-    auto &edge_state = plane.edge_values;
-    auto &active = plane.vertex_active;
+    // State: flat per-vertex/per-edge arrays (async reads the latest
+    // values in place; no double buffer).
+    FlatState flat = initialState(g, algo);
+    auto &state = flat.vertex;
+    auto &edge_state = flat.edge;
+    std::vector<std::uint8_t> active(n, 0);
     std::vector<std::uint8_t> part_active(nparts, 0);
     for (VertexId v = 0; v < n; ++v) {
         if (options.force_all_active || algo.initActive(g, v)) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "algorithms/algorithm.hpp"
+
 namespace digraph::baselines {
 
 std::string
@@ -59,6 +61,19 @@ defaultEdgeBudget(const graph::DirectedGraph &g,
     const std::size_t units = static_cast<std::size_t>(
         std::max(1u, platform.num_devices * platform.smx_per_device));
     return std::max<std::size_t>(256, g.numEdges() / (units * 8));
+}
+
+FlatState
+initialState(const graph::DirectedGraph &g, const algorithms::Algorithm &algo)
+{
+    FlatState state;
+    state.vertex.resize(g.numVertices());
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        state.vertex[v] = algo.initVertex(g, v);
+    state.edge.resize(g.numEdges());
+    for (EdgeId e = 0; e < g.numEdges(); ++e)
+        state.edge[e] = algo.initEdge(g, e);
+    return state;
 }
 
 } // namespace digraph::baselines

@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared configuration and helpers for the comparison systems (the
- * Gunrock-like BSP engine and the Groute-like asynchronous engine).
+ * Gunrock-like BSP engine and the Groute-like asynchronous engine) and
+ * the sequential oracle.
  *
  * Both baselines run on the same simulated platform and account the same
  * metrics as DiGraph, so every figure compares execution models rather
@@ -17,6 +18,10 @@
 #include "gpusim/config.hpp"
 #include "common/types.hpp"
 #include "graph/digraph.hpp"
+
+namespace digraph::algorithms {
+class Algorithm;
+} // namespace digraph::algorithms
 
 namespace digraph::metrics {
 class TraceSink;
@@ -55,6 +60,18 @@ struct BaselineOptions
  */
 std::vector<VertexId> vertexRangePartitions(const graph::DirectedGraph &g,
                                             std::size_t edges_per_partition);
+
+/** Flat run state of a vertex-centric engine: one value per vertex and
+ *  one cached value per edge id, no path storage. */
+struct FlatState
+{
+    std::vector<Value> vertex;
+    std::vector<Value> edge;
+};
+
+/** @p algo's initial FlatState over @p g (initVertex / initEdge). */
+FlatState initialState(const graph::DirectedGraph &g,
+                       const algorithms::Algorithm &algo);
 
 /** Derived edge budget matching the DiGraph engine's default. */
 std::size_t defaultEdgeBudget(const graph::DirectedGraph &g,

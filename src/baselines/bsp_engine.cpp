@@ -6,7 +6,6 @@
 #include "common/logging.hpp"
 #include "common/timer.hpp"
 #include "engine/convergence.hpp"
-#include "engine/value_plane.hpp"
 #include "gpusim/platform.hpp"
 #include "metrics/counter_registry.hpp"
 #include "metrics/trace.hpp"
@@ -82,15 +81,14 @@ runBsp(const graph::DirectedGraph &g, const algorithms::Algorithm &algo,
         barrier = std::max(barrier, done);
     }
 
-    // State: the shared per-job value plane in flat mode (double
-    // buffered — BSP reads round-start values).
-    engine::ValuePlane plane;
-    plane.initFlat(g, algo, /*double_buffer=*/true);
-    auto &prev = plane.vertex_values;
-    auto &next = plane.vertex_values_next;
-    auto &edge_state = plane.edge_values;
-    auto &active = plane.vertex_active;
-    auto &next_active = plane.vertex_active_next;
+    // State: flat per-vertex/per-edge arrays, double buffered (BSP
+    // reads round-start values).
+    FlatState state = initialState(g, algo);
+    auto &prev = state.vertex;
+    std::vector<Value> next = prev;
+    auto &edge_state = state.edge;
+    std::vector<std::uint8_t> active(n, 0);
+    std::vector<std::uint8_t> next_active(n, 0);
     for (VertexId v = 0; v < n; ++v) {
         active[v] =
             options.force_all_active || algo.initActive(g, v) ? 1 : 0;

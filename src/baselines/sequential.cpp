@@ -4,9 +4,9 @@
 #include <deque>
 #include <numeric>
 
+#include "baselines/baseline_options.hpp"
 #include "common/timer.hpp"
 #include "engine/convergence.hpp"
-#include "engine/value_plane.hpp"
 #include "graph/scc.hpp"
 #include "graph/traversal.hpp"
 #include "metrics/counter_registry.hpp"
@@ -78,9 +78,7 @@ runSequential(const graph::DirectedGraph &g,
 {
     WallTimer wall;
     SequentialResult result;
-    engine::ValuePlane plane;
-    plane.initFlat(g, algo, /*double_buffer=*/false);
-    std::vector<Value> &edge_state = plane.edge_values;
+    FlatState state = initialState(g, algo);
     result.updates_per_vertex.assign(g.numVertices(), 0);
 
     std::deque<VertexId> worklist;
@@ -101,7 +99,7 @@ runSequential(const graph::DirectedGraph &g,
         ++result.updates_per_vertex[v];
         counters.add(
             metrics::Counter::EdgeProcessings,
-            processVertex(g, algo, v, plane.vertex_values, edge_state,
+            processVertex(g, algo, v, state.vertex, state.edge,
                           [&](VertexId w) {
                               if (!queued[w]) {
                                   queued[w] = 1;
@@ -109,7 +107,7 @@ runSequential(const graph::DirectedGraph &g,
                               }
                           }));
     }
-    result.state = std::move(plane.vertex_values);
+    result.state = std::move(state.vertex);
     finishReport(result, "sequential", algo, counters, wall.seconds(),
                  trace);
     return result;
@@ -121,9 +119,7 @@ runTopological(const graph::DirectedGraph &g,
 {
     WallTimer wall;
     SequentialResult result;
-    engine::ValuePlane plane;
-    plane.initFlat(g, algo, /*double_buffer=*/false);
-    std::vector<Value> &edge_state = plane.edge_values;
+    FlatState state = initialState(g, algo);
     result.updates_per_vertex.assign(g.numVertices(), 0);
 
     // Vertex order: topological over the SCC condensation, vertices of one
@@ -149,8 +145,7 @@ runTopological(const graph::DirectedGraph &g,
     // iterating each SCC to convergence before moving on (Observation 2:
     // a vertex is handled only after all its precursors converged).
     // Vertices outside any cycle are then updated exactly once.
-    std::vector<std::uint8_t> &active = plane.vertex_active;
-    active.assign(g.numVertices(), 1);
+    std::vector<std::uint8_t> active(g.numVertices(), 1);
     metrics::CounterRegistry counters;
     std::size_t begin = 0;
     while (begin < order.size()) {
@@ -173,15 +168,14 @@ runTopological(const graph::DirectedGraph &g,
                 ++result.updates_per_vertex[v];
                 counters.add(
                     metrics::Counter::EdgeProcessings,
-                    processVertex(g, algo, v, plane.vertex_values,
-                                  edge_state,
+                    processVertex(g, algo, v, state.vertex, state.edge,
                                   [&](VertexId w) { active[w] = 1; }));
             }
             any = engine::anyActiveAmong(active, order, begin, end);
         }
         begin = end;
     }
-    result.state = std::move(plane.vertex_values);
+    result.state = std::move(state.vertex);
     finishReport(result, "sequential-topo", algo, counters,
                  wall.seconds(), trace);
     return result;

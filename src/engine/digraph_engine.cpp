@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "algorithms/multi_source.hpp"
 #include "common/logging.hpp"
 #include "common/timer.hpp"
 #include "engine/wave_control.hpp"
@@ -123,13 +124,13 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
     trace_ = options_.trace;
 
     // Batched multi-source mode: a LaneAlgorithm runs K value lanes in
-    // one traversal (DESIGN.md §17). Lane runs are path-mode only and
-    // exclude the warm-start and fault/durable-store machinery (their
-    // journals are scalar); everything else below is shared, branching
-    // on `lanes` at the few seams where the state layout differs.
+    // one traversal (DESIGN.md §17); every other algorithm is the K = 1
+    // run of the same body. Lane runs are path-mode only and exclude
+    // the warm-start and fault/durable-store machinery (their journals
+    // and checkpoints hold one lane).
     const auto *lane_algo =
         dynamic_cast<const algorithms::LaneAlgorithm *>(&algo);
-    const unsigned lanes = lane_algo ? lane_algo->lanes() : 0;
+    const unsigned lanes = lane_algo ? lane_algo->lanes() : 1;
     if (lane_algo) {
         if (lanes == 0 || lanes > algorithms::kMaxValueLanes) {
             fatal("DiGraphEngine: lane algorithm '", algo.name(),
@@ -148,19 +149,18 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
                   "fault tolerance or a durable store");
         }
     }
-    report.value_lanes = lanes ? lanes : 1;
+    report.value_lanes = lanes;
 
     // Resolve the wave kernel once per run: the compile-time body
-    // instantiation matching (algorithm policy, mode, tracing). The hot
-    // loop below calls one function pointer per dispatch — never a
-    // virtual per edge. An algorithm no registry row realizes is
-    // rejected here, before any run state is allocated.
-    auto kernel =
-        resolveWaveKernel(algo, options_, trace_ != nullptr, lanes);
+    // instantiation matching (algorithm policy, mode, tracing, lanes).
+    // The hot loop below calls one function pointer per dispatch —
+    // never a virtual per edge. An algorithm no registry row realizes
+    // is rejected here, before any run state is allocated.
+    auto kernel = resolveWaveKernel(algo, options_, trace_ != nullptr);
     if (!kernel) {
         fatal("DiGraphEngine: algorithm '", algo.name(), "' (kernel tag '",
               algo.kernelTag(), "') matches no registered ",
-              lanes ? "lane " : "", "wave kernel");
+              lane_algo ? "lane " : "", "wave kernel");
     }
     kernel_ = std::move(*kernel);
     report.kernel = kernel_.name;
@@ -168,12 +168,10 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
     const PartitionId nparts = pre_.numPartitions();
     transport_.beginRun(options_, nparts, g_.numVertices(), &counters_);
     transport_.setTraceContext(trace_, trace_wave_, trace_wave_sim_);
-    transport_.value_lanes = lanes ? lanes : 1;
+    transport_.value_lanes = lanes;
 
     plane_.initializeState(g_, algo, warm);
     plane_.beginRun(pre_);
-    if (lane_algo)
-        plane_.initializeLanes(g_, *lane_algo, pre_);
     partition_process_count_.assign(nparts, 0);
     if (ft_enabled_)
         initFaultTolerance();
@@ -184,24 +182,22 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
     // of successive paths). Placement is balanced by bytes.
     transport_.prefetchAll(nparts, sched_, report);
 
-    // Initial activation: the algorithm's initActive() set, or — on a
-    // warm start — only the supplied seed vertices.
-    if (lane_algo) {
-        for (VertexId v = 0; v < g_.numVertices(); ++v) {
-            for (unsigned l = 0; l < lanes; ++l) {
-                if (options_.force_all_active ||
-                    lane_algo->initActiveLane(g_, v, l))
-                    sync_.activateVertexLane(plane_, v, l);
-            }
-        }
-    } else if (warm && warm->active_vertices &&
-               !options_.force_all_active) {
+    // Initial activation: the algorithm's initActive() set (per lane),
+    // or — on a warm start — only the supplied seed vertices.
+    if (warm && warm->active_vertices && !options_.force_all_active) {
         for (const VertexId v : *warm->active_vertices)
-            sync_.activateVertex(plane_, v);
+            sync_.activateVertex(plane_, v, 1);
     } else {
         for (VertexId v = 0; v < g_.numVertices(); ++v) {
-            if (options_.force_all_active || algo.initActive(g_, v))
-                sync_.activateVertex(plane_, v);
+            std::uint64_t active = 0;
+            for (unsigned l = 0; l < lanes; ++l) {
+                if (options_.force_all_active ||
+                    (lane_algo ? lane_algo->initActiveLane(g_, v, l)
+                               : algo.initActive(g_, v)))
+                    active |= std::uint64_t{1} << l;
+            }
+            if (active)
+                sync_.activateVertex(plane_, v, active);
         }
     }
 
@@ -217,8 +213,8 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
     std::vector<std::uint64_t> wave_stamp(nparts, 0);
     std::uint64_t wave = 0;
     std::vector<PartitionId> batch;
-    // Per-lane convergence: last wave at whose end the lane still had
-    // active slots (summed from the partition-sliced lane counters).
+    // Per-lane convergence (lane runs): last wave at whose end the lane
+    // still had active slots.
     std::vector<std::uint64_t> lane_last_active(lanes, 0);
     for (;;) {
         ++wave;
@@ -284,14 +280,9 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
             barrier_timer.end();
         }
         if (lane_algo) {
+            const std::uint64_t active = plane_.activeLanes();
             for (unsigned l = 0; l < lanes; ++l) {
-                std::uint64_t total = 0;
-                for (PartitionId q = 0; q < nparts; ++q) {
-                    total += plane_.lane_active_slots
-                                 [static_cast<std::size_t>(q) * lanes +
-                                  l];
-                }
-                if (total)
+                if ((active >> l) & 1)
                     lane_last_active[l] = wave;
             }
         }
@@ -312,9 +303,7 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
         }
     }
     if (options_.verify_invariants) {
-        const InvariantReport inv =
-            lane_algo ? postRunLaneInvariants(*lane_algo)
-                      : postRunInvariants(algo);
+        const InvariantReport inv = postRunInvariants(algo);
         if (!inv.ok()) {
             panic("DiGraphEngine: post-run invariant violation: ",
                   inv.detail.empty() ? std::string("unspecified")
@@ -341,9 +330,7 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
             auto &state = report.lane_states[l];
             state.resize(g_.numVertices());
             for (VertexId v = 0; v < g_.numVertices(); ++v)
-                state[v] =
-                    plane_.lane_v[static_cast<std::size_t>(v) * lanes +
-                                  l];
+                state[v] = plane_.storage.vVal(v, l);
         }
         report.final_state = report.lane_states[0];
         report.lane_converged_wave = std::move(lane_last_active);

@@ -71,17 +71,17 @@ struct DispatchOutcome
      *  replay, which only sum bytes per home device, so the order does
      *  not matter. */
     std::vector<VertexId> stale_vertices;
-    /** Lane runs: per stale vertex, the mask of lanes flagged changed
+    /** K > 1: per stale vertex, the mask of lanes flagged changed
      *  (parallel to stale_vertices) — the refresh pull ships only those
-     *  lanes' values (delta-encoded stripe). Empty on scalar runs. */
+     *  lanes' values (delta-encoded stripe). Empty at K = 1. */
     std::vector<std::uint64_t> stale_lanes;
     /** Per local round, per work-stealing group: kernel cycles. */
     std::vector<std::vector<double>> round_group_cycles;
     /** Masters whose merge reported an activation-worthy change,
      *  accumulated across the local rounds (sorted/deduplicated). */
     std::vector<VertexId> changed;
-    /** Lane runs: per changed vertex, the mask of lanes whose master
-     *  changed (parallel to changed). */
+    /** K > 1: per changed vertex, the mask of lanes whose master
+     *  changed (parallel to changed). Empty at K = 1. */
     std::vector<std::uint64_t> changed_lanes;
     /** Mirror pushes merged into masters. */
     std::uint64_t push_count = 0;
@@ -238,23 +238,16 @@ class DiGraphEngine
 
     /**
      * Post-run invariant checker (debug/CI): re-examines the converged
-     * state of the most recent run() — convergence residual (re-running
-     * processEdge on a copy must not move any destination by more than
-     * @p residual_slack * epsilon), master/mirror coherence, and an
-     * activation recount. Used standalone by tests and, with
-     * EngineOptions::verify_invariants, inside run() (panic on
-     * violation).
+     * state of the most recent run() of @p algo, in every value lane —
+     * convergence residual (re-running processEdge on a copy must not
+     * move any destination by more than @p residual_slack * epsilon),
+     * master/mirror coherence, and an activation recount. Used
+     * standalone by tests and, with EngineOptions::verify_invariants,
+     * inside run() (panic on violation).
      */
     InvariantReport
     postRunInvariants(const algorithms::Algorithm &algo,
                       double residual_slack = 64.0);
-
-    /** Lane-mode postRunInvariants(): per-lane convergence residual,
-     *  lane master/mirror coherence, and the lane activation-mask
-     *  recount of the most recent K-wide run. */
-    InvariantReport
-    postRunLaneInvariants(const algorithms::LaneAlgorithm &algo,
-                          double residual_slack = 64.0);
 
   private:
     /** The wave body templates read/write the engine internals

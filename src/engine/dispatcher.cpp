@@ -273,7 +273,7 @@ Dispatcher::roundCost(const EngineOptions &options,
                       const std::vector<std::uint64_t> &processed_edges,
                       std::uint64_t proxy_pushes,
                       std::uint64_t atomic_pushes,
-                      const std::vector<std::uint64_t> *extra_lane_edges,
+                      const std::vector<std::uint64_t> &extra_lane_edges,
                       double per_lane_cycles) const
 {
     // Per-thread load balancing: paths are packed into lane bins by
@@ -297,9 +297,9 @@ Dispatcher::roundCost(const EngineOptions &options,
         // Extra active value lanes of a stripe are predicated vector
         // lanes of the leader lane's instruction stream: no second edge
         // decode, only the lane's coalesced stripe words.
-        if (extra_lane_edges != nullptr && per_edge_cycles > 0.0) {
+        if (extra_lane_edges[ap] != 0 && per_edge_cycles > 0.0) {
             work += static_cast<std::uint64_t>(
-                static_cast<double>((*extra_lane_edges)[ap]) *
+                static_cast<double>(extra_lane_edges[ap]) *
                 (per_lane_cycles / per_edge_cycles));
         }
         path_work[ap] = work;

@@ -88,23 +88,21 @@ class Dispatcher
      * inactive positions. Returns per work-stealing group: kernel
      * cycles (group 0 chains on the home SMX; surplus groups steal).
      *
-     * Lane (K-wide) rounds additionally pass @p extra_lane_edges —
-     * per path, the count of active value lanes beyond the first over
-     * its processed edge stripes. Those lanes ride the leader lane's
-     * instruction stream as predicated vector lanes: the edge decode
-     * (E_idx pair, weight, out-degree) is paid once per stripe, so an
-     * extra lane costs only its coalesced S_val/E_val stripe words —
-     * @p per_lane_cycles, a fraction of @p per_edge_cycles. Scalar
-     * rounds pass nullptr and are costed exactly as before.
+     * @p extra_lane_edges holds, per path, the count of active value
+     * lanes beyond the first over its processed edge stripes (all zero
+     * on 1-lane runs, which adds no work). Those lanes ride the leader
+     * lane's instruction stream as predicated vector lanes: the edge
+     * decode (E_idx pair, weight, out-degree) is paid once per stripe,
+     * so an extra lane costs only its coalesced S_val/E_val stripe
+     * words — @p per_lane_cycles, a fraction of @p per_edge_cycles.
      */
     std::vector<double>
     roundCost(const EngineOptions &options, double per_edge_cycles,
               const std::vector<PathId> &active_paths,
               const std::vector<std::uint64_t> &processed_edges,
               std::uint64_t proxy_pushes, std::uint64_t atomic_pushes,
-              const std::vector<std::uint64_t> *extra_lane_edges =
-                  nullptr,
-              double per_lane_cycles = 0.0) const;
+              const std::vector<std::uint64_t> &extra_lane_edges,
+              double per_lane_cycles) const;
 
     /** Direct precursor partitions of @p q (deduped, from the DAG). */
     const std::vector<PartitionId> &precursors(PartitionId q) const
@@ -120,9 +118,6 @@ class Dispatcher
     {
         return partition_bytes_[q];
     }
-
-    /** Pri(p) scaling factor alpha = 1 / (maxAvgDeg * maxN). */
-    double priAlpha() const { return pri_alpha_; }
 
     /** Host bytes of the shared dependency structures. */
     std::size_t memoryBytes() const;

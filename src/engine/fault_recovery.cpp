@@ -295,11 +295,10 @@ DiGraphEngine::recoverFromDeviceLoss(DeviceId dead, std::uint64_t wave,
     // iteration from the checkpoint state re-converges to the same
     // fixed point (the Maiter-style self-correction argument — the
     // per-edge caches rolled back consistently with the masters).
-    for (std::uint64_t slot = 0; slot < plane_.slot_active.size();
-         ++slot) {
+    for (std::uint64_t slot = 0; slot < sync_.numSlots(); ++slot) {
         if (!sync_.isSrcSlot(slot))
             continue;
-        plane_.activateSlot(slot);
+        plane_.activateSlot<1>(slot, 1);
         plane_.partition_active[sync_.partitionOfSlot(slot)] = 1;
     }
 
@@ -325,125 +324,35 @@ DiGraphEngine::postRunInvariants(const algorithms::Algorithm &algo,
         residual_slack * std::max(algo.epsilon(), 1e-300);
 
     auto &storage = plane_.storage;
+    const unsigned k = storage.lanes();
+    // Name the lane only when there is more than one.
+    const auto lane_note = [k](unsigned l) {
+        return k > 1 ? detail::formatConcat(" lane ", l) : std::string();
+    };
     // (a) Convergence residual: at a fixed point, re-running processEdge
     // against the committed masters must not move any destination enough
-    // to re-activate it. Accumulative algorithms legitimately carry
-    // sub-epsilon drift per edge (merges below the activation threshold
-    // do mutate the master without fan-out), hence the slack multiple.
+    // to re-activate it, in any lane (a batched run solves K problems,
+    // not one). Accumulative algorithms legitimately carry sub-epsilon
+    // drift per edge (merges below the activation threshold do mutate
+    // the master without fan-out), hence the slack multiple.
     for (PathId q = 0; q < storage.numPaths(); ++q) {
-        auto view = storage.path(q);
-        for (std::size_t i = 0; i < view.length(); ++i) {
-            const VertexId src_v = view.vertex_ids[i];
-            const VertexId dst_v = view.vertex_ids[i + 1];
-            const EdgeId eid = view.edge_ids[i];
-            Value edge_copy = view.edge_states[i];
-            Value dst_copy = storage.vVal(dst_v);
-            const Value dst_before = dst_copy;
-            const bool would_activate = algo.processEdge(
-                storage.vVal(src_v), edge_copy, eid, g_.edgeWeight(eid),
-                static_cast<std::uint32_t>(g_.outDegree(src_v)),
-                dst_copy);
-            if (!would_activate)
-                continue;
-            const double residual =
-                (std::isinf(dst_copy) && std::isinf(dst_before))
-                    ? 0.0
-                    : std::abs(static_cast<double>(dst_copy) -
-                               static_cast<double>(dst_before));
-            rep.max_residual = std::max(rep.max_residual, residual);
-            if (residual > slack) {
-                ++rep.residual_violations;
-                if (rep.detail.empty()) {
-                    rep.detail = detail::formatConcat(
-                        "residual: edge ", eid, " (", src_v, " -> ",
-                        dst_v, ") would still move its destination by ",
-                        residual, " (> ", slack, ")");
-                }
-            }
-        }
-    }
-    rep.residual_ok = rep.residual_violations == 0;
-
-    // (b) Master/mirror coherence: no mirror slot may hold an un-pushed
-    // value (the batched sync always leaves loaded == pushed state).
-    for (PathId q = 0; q < storage.numPaths() && rep.coherence_ok;
-         ++q) {
         const std::uint64_t lo = storage.pathOffset(q);
         const std::uint64_t hi = storage.pathOffset(q + 1);
-        for (std::uint64_t s = lo; s < hi; ++s) {
-            if (algo.hasPush(storage.sVal(s), storage.loadedVal(s))) {
-                rep.coherence_ok = false;
-                if (rep.detail.empty()) {
-                    rep.detail = detail::formatConcat(
-                        "coherence: slot ", s, " (vertex ",
-                        storage.vertexAt(s), ", path ", q,
-                        ") holds an un-pushed mirror value");
-                }
-                break;
-            }
-        }
-    }
-
-    // (c) Activation: the incremental bookkeeping must recount cleanly
-    // and the engine must be quiescent — run() only returns when the
-    // dispatch loop drained every activation.
-    rep.activation_ok = activationBookkeepingConsistent();
-    if (rep.activation_ok) {
-        const bool slots_quiet = std::none_of(
-            plane_.slot_active.begin(), plane_.slot_active.end(),
-            [](std::uint8_t f) { return f != 0; });
-        const bool parts_quiet = std::none_of(
-            plane_.partition_active.begin(),
-            plane_.partition_active.end(),
-            [](std::uint8_t f) { return f != 0; });
-        rep.activation_ok = slots_quiet && parts_quiet;
-        if (!rep.activation_ok && rep.detail.empty())
-            rep.detail = "activation: engine not quiescent after run()";
-    } else if (rep.detail.empty()) {
-        rep.detail = "activation: bookkeeping recount mismatch";
-    }
-    return rep;
-}
-
-DiGraphEngine::InvariantReport
-DiGraphEngine::postRunLaneInvariants(
-    const algorithms::LaneAlgorithm &algo, double residual_slack)
-{
-    InvariantReport rep;
-    const unsigned k = plane_.lane_count;
-    if (k == 0) {
-        rep.activation_ok = false;
-        rep.detail = "lanes: postRunLaneInvariants on a scalar run";
-        return rep;
-    }
-    const double slack =
-        residual_slack * std::max(algo.epsilon(), 1e-300);
-
-    auto &storage = plane_.storage;
-    // (a) Per-lane convergence residual, on copies of the lane stripes:
-    // every lane must independently sit at its fixed point (the batched
-    // run solves K problems, not one).
-    for (PathId q = 0; q < storage.numPaths(); ++q) {
-        auto view = storage.path(q);
-        const std::uint64_t e_base = storage.pathOffset(q) - q;
-        for (std::size_t i = 0; i < view.length(); ++i) {
-            const VertexId src_v = view.vertex_ids[i];
-            const VertexId dst_v = view.vertex_ids[i + 1];
-            const EdgeId eid = view.edge_ids[i];
+        for (std::uint64_t s = lo; s + 1 < hi; ++s) {
+            const VertexId src_v = storage.vertexAt(s);
+            const VertexId dst_v = storage.vertexAt(s + 1);
+            // Path q's edge at slot s sits at E_val index s - q.
+            const EdgeId eid = storage.edgeIdAt(s - q);
             const Value weight = g_.edgeWeight(eid);
             const auto out_deg =
                 static_cast<std::uint32_t>(g_.outDegree(src_v));
             for (unsigned l = 0; l < k; ++l) {
-                Value edge_copy =
-                    plane_.lane_e[(e_base + i) * k + l];
-                Value dst_copy =
-                    plane_.lane_v[static_cast<std::size_t>(dst_v) * k +
-                                  l];
+                Value edge_copy = storage.eVals()[(s - q) * k + l];
+                Value dst_copy = storage.vVal(dst_v, l);
                 const Value dst_before = dst_copy;
-                const bool would_activate = algo.processEdge(
-                    plane_.lane_v[static_cast<std::size_t>(src_v) * k +
-                                  l],
-                    edge_copy, eid, weight, out_deg, dst_copy);
+                const bool would_activate =
+                    algo.processEdge(storage.vVal(src_v, l), edge_copy,
+                                     eid, weight, out_deg, dst_copy);
                 if (!would_activate)
                     continue;
                 const double residual =
@@ -456,8 +365,8 @@ DiGraphEngine::postRunLaneInvariants(
                     ++rep.residual_violations;
                     if (rep.detail.empty()) {
                         rep.detail = detail::formatConcat(
-                            "lane residual: edge ", eid, " (", src_v,
-                            " -> ", dst_v, ") lane ", l,
+                            "residual: edge ", eid, " (", src_v, " -> ",
+                            dst_v, ")", lane_note(l),
                             " would still move its destination by ",
                             residual, " (> ", slack, ")");
                     }
@@ -467,46 +376,47 @@ DiGraphEngine::postRunLaneInvariants(
     }
     rep.residual_ok = rep.residual_violations == 0;
 
-    // (b) Lane master/mirror coherence: no mirror lane may hold an
-    // un-pushed value.
-    for (std::uint64_t s = 0;
-         s < plane_.slot_active.size() && rep.coherence_ok; ++s) {
-        for (unsigned l = 0; l < k; ++l) {
-            if (algo.hasPush(plane_.lane_s[s * k + l],
-                             plane_.lane_loaded[s * k + l])) {
-                rep.coherence_ok = false;
-                if (rep.detail.empty()) {
-                    rep.detail = detail::formatConcat(
-                        "lane coherence: slot ", s, " (vertex ",
-                        storage.vertexAt(s), ") lane ", l,
-                        " holds an un-pushed mirror value");
+    // (b) Master/mirror coherence: no mirror slot may hold an un-pushed
+    // value in any lane (the batched sync always leaves loaded ==
+    // pushed state).
+    for (PathId q = 0; q < storage.numPaths() && rep.coherence_ok;
+         ++q) {
+        const std::uint64_t lo = storage.pathOffset(q);
+        const std::uint64_t hi = storage.pathOffset(q + 1);
+        for (std::uint64_t s = lo; s < hi && rep.coherence_ok; ++s) {
+            for (unsigned l = 0; l < k; ++l) {
+                if (algo.hasPush(storage.sVal(s, l),
+                                 storage.loadedVal(s, l))) {
+                    rep.coherence_ok = false;
+                    if (rep.detail.empty()) {
+                        rep.detail = detail::formatConcat(
+                            "coherence: slot ", s, " (vertex ",
+                            storage.vertexAt(s), ", path ", q, ")",
+                            lane_note(l),
+                            " holds an un-pushed mirror value");
+                    }
+                    break;
                 }
-                break;
             }
         }
     }
 
-    // (c) Activation: the recount (bookkeepingConsistent covers the
-    // lane-mask invariants when lane_count > 0) plus quiescence — every
-    // lane mask must have drained.
+    // (c) Activation: the incremental bookkeeping must recount cleanly
+    // (lane masks and counters included) and the engine must be
+    // quiescent — run() only returns when the dispatch loop drained
+    // every activation.
     rep.activation_ok = activationBookkeepingConsistent();
     if (rep.activation_ok) {
-        const bool slots_quiet = std::none_of(
-            plane_.slot_active.begin(), plane_.slot_active.end(),
-            [](std::uint8_t f) { return f != 0; });
-        const bool masks_quiet = std::none_of(
-            plane_.slot_lane_mask.begin(), plane_.slot_lane_mask.end(),
-            [](std::uint64_t m) { return m != 0; });
+        const bool slots_quiet = plane_.activeLanes() == 0;
         const bool parts_quiet = std::none_of(
             plane_.partition_active.begin(),
             plane_.partition_active.end(),
             [](std::uint8_t f) { return f != 0; });
-        rep.activation_ok = slots_quiet && masks_quiet && parts_quiet;
+        rep.activation_ok = slots_quiet && parts_quiet;
         if (!rep.activation_ok && rep.detail.empty())
-            rep.detail =
-                "lane activation: engine not quiescent after run()";
+            rep.detail = "activation: engine not quiescent after run()";
     } else if (rep.detail.empty()) {
-        rep.detail = "lane activation: bookkeeping recount mismatch";
+        rep.detail = "activation: bookkeeping recount mismatch";
     }
     return rep;
 }

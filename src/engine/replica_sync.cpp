@@ -81,64 +81,36 @@ ReplicaSync::build(const partition::Preprocessed &pre,
 }
 
 void
-ReplicaSync::activateVertex(ValuePlane &plane, VertexId v) const
+ReplicaSync::activateVertex(ValuePlane &plane, VertexId v,
+                            std::uint64_t lanes) const
 {
     for (std::uint64_t k = occur_offsets_[v]; k < occur_offsets_[v + 1];
          ++k) {
         const std::uint64_t slot = occur_slots_[k];
         if (is_src_slot_[slot]) {
-            plane.activateSlot(slot);
+            plane.activateSlot(slot, lanes);
             plane.partition_active[partitionOfSlot(slot)] = 1;
         }
     }
 }
 
 void
-ReplicaSync::convertStaleQueue(ValuePlane &plane, PartitionId p,
-                               std::uint64_t slot_lo,
-                               std::uint64_t slot_hi,
-                               std::vector<VertexId> &stale_vertices) const
-{
-    auto &queue = plane.stale_queue[p];
-    for (const VertexId v : queue) {
-        plane.stale_pending[mirrorEntry(v, p)] = 0;
-        bool any_stale = false;
-        const auto occ_begin =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v]);
-        const auto occ_end =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v + 1]);
-        for (auto it = std::lower_bound(occ_begin, occ_end, slot_lo);
-             it != occ_end && *it < slot_hi; ++it) {
-            const std::uint64_t slot = *it;
-            if (plane.slot_seen_version[slot] !=
-                plane.master_version[v]) {
-                any_stale = true;
-                plane.slot_seen_version[slot] = plane.master_version[v];
-                if (is_src_slot_[slot])
-                    plane.activateSlot(slot);
-            }
-        }
-        if (any_stale)
-            stale_vertices.push_back(v);
-    }
-    queue.clear();
-}
-
-void
 ReplicaSync::fanOutChanged(ValuePlane &plane, PartitionId p,
                            const std::vector<VertexId> &changed,
+                           const std::vector<std::uint64_t> &changed_lanes,
                            std::vector<PartitionId> &activated_parts) const
 {
-    for (const VertexId v : changed) {
+    // The activation width is read once, not per mirror entry.
+    const bool masked = plane.laneMasked();
+    for (std::size_t i = 0; i < changed.size(); ++i) {
+        const VertexId v = changed[i];
+        const std::uint64_t lanes = masked ? changed_lanes[i] : 1;
         for (std::uint64_t k = mirror_offsets_[v];
              k < mirror_offsets_[v + 1]; ++k) {
             const PartitionId part = mirror_parts_[k];
-            if (part == p || plane.stale_pending[k])
-                continue;
-            plane.stale_pending[k] = 1;
-            plane.stale_queue[part].push_back(v);
+            if (part != p && (masked ? plane.addPending<0>(k, lanes)
+                                     : plane.addPending<1>(k, lanes)))
+                plane.stale_queue[part].push_back(v);
         }
         for (std::uint64_t k = consumer_offsets_[v];
              k < consumer_offsets_[v + 1]; ++k) {
@@ -146,90 +118,6 @@ ReplicaSync::fanOutChanged(ValuePlane &plane, PartitionId p,
             if (part != p && !plane.partition_active[part]) {
                 // Gate only on the activation that wakes the partition
                 // up; later batches are picked up whenever it runs.
-                plane.partition_active[part] = 1;
-                activated_parts.push_back(part);
-            }
-        }
-    }
-}
-
-void
-ReplicaSync::activateVertexLane(ValuePlane &plane, VertexId v,
-                                unsigned lane) const
-{
-    for (std::uint64_t k = occur_offsets_[v]; k < occur_offsets_[v + 1];
-         ++k) {
-        const std::uint64_t slot = occur_slots_[k];
-        if (is_src_slot_[slot]) {
-            plane.activateSlotLane(slot, lane);
-            plane.partition_active[partitionOfSlot(slot)] = 1;
-        }
-    }
-}
-
-void
-ReplicaSync::convertStaleQueueLanes(
-    ValuePlane &plane, PartitionId p, std::uint64_t slot_lo,
-    std::uint64_t slot_hi, std::vector<VertexId> &stale_vertices,
-    std::vector<std::uint64_t> &stale_lanes) const
-{
-    auto &queue = plane.stale_queue[p];
-    for (const VertexId v : queue) {
-        // The OR of every fan-out's changed lanes since this partition
-        // last ran (the same master may change in different lanes
-        // across waves before it runs).
-        std::uint64_t &pending =
-            plane.stale_pending_lanes[mirrorEntry(v, p)];
-        const std::uint64_t lanes_mask = pending;
-        pending = 0;
-        bool any_stale = false;
-        const auto occ_begin =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v]);
-        const auto occ_end =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v + 1]);
-        for (auto it = std::lower_bound(occ_begin, occ_end, slot_lo);
-             it != occ_end && *it < slot_hi; ++it) {
-            const std::uint64_t slot = *it;
-            if (plane.slot_seen_version[slot] !=
-                plane.master_version[v]) {
-                any_stale = true;
-                plane.slot_seen_version[slot] = plane.master_version[v];
-                if (is_src_slot_[slot])
-                    plane.activateSlotLanesMask(slot, lanes_mask);
-            }
-        }
-        if (any_stale) {
-            stale_vertices.push_back(v);
-            stale_lanes.push_back(lanes_mask);
-        }
-    }
-    queue.clear();
-}
-
-void
-ReplicaSync::fanOutChangedLanes(
-    ValuePlane &plane, PartitionId p, const std::vector<VertexId> &changed,
-    const std::vector<std::uint64_t> &changed_lanes,
-    std::vector<PartitionId> &activated_parts) const
-{
-    for (std::size_t i = 0; i < changed.size(); ++i) {
-        const VertexId v = changed[i];
-        for (std::uint64_t k = mirror_offsets_[v];
-             k < mirror_offsets_[v + 1]; ++k) {
-            const PartitionId part = mirror_parts_[k];
-            if (part == p)
-                continue;
-            std::uint64_t &pending = plane.stale_pending_lanes[k];
-            if (pending == 0)
-                plane.stale_queue[part].push_back(v);
-            pending |= changed_lanes[i];
-        }
-        for (std::uint64_t k = consumer_offsets_[v];
-             k < consumer_offsets_[v + 1]; ++k) {
-            const PartitionId part = consumer_parts_[k];
-            if (part != p && !plane.partition_active[part]) {
                 plane.partition_active[part] = 1;
                 activated_parts.push_back(part);
             }

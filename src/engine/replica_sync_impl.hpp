@@ -1,9 +1,13 @@
 /**
  * @file
- * Out-of-line definitions of ReplicaSync's static-dispatch sync
- * templates (pushDirtyMirrorsT / refreshLocalMirrorsT and their lane
- * twins). Split from replica_sync.hpp because they need the complete
- * ValuePlane type, which itself includes replica_sync.hpp.
+ * Out-of-line definitions of ReplicaSync's wave-body templates
+ * (convertStaleQueue, pushDirtyMirrorsT, refreshLocalMirrorsT). Split
+ * from replica_sync.hpp because they need the complete ValuePlane type,
+ * which itself includes replica_sync.hpp.
+ *
+ * Each is templated on the wave body's LanesCT (K known at compile
+ * time, 0 = read at run time): values are indexed as entry * K + lane,
+ * so at LanesCT = 1 every stripe loop is a single scalar access.
  *
  * Included by the wave-body instantiation unit (wave_kernel.cpp) — not
  * by general engine headers, so the templates compile exactly where
@@ -20,72 +24,22 @@
 
 namespace digraph::engine {
 
-template <class AlgoT>
-PushStats
-ReplicaSync::pushDirtyMirrorsT(ValuePlane &plane, PartitionId p,
-                               const AlgoT &algo,
-                               const graph::DirectedGraph &g,
-                               bool use_proxy,
-                               std::uint32_t proxy_indegree_threshold,
-                               bool journal,
-                               std::vector<VertexId> &changed) const
-{
-    // Every dirty mirror pushes its pending value/delta to its master.
-    // Only slots written this round are examined — the incremental
-    // replacement of a full slot-range sweep. Ascending slot order keeps
-    // the merge order of the sweep. Refreshes are deferred to
-    // refreshLocalMirrorsT() so that a refresh of one replica can never
-    // clobber another replica's un-pushed work.
-    PushStats stats;
-    auto &dirty = plane.partition_dirty[p];
-    auto &dirty_slots = dirty.slots();
-    std::sort(dirty_slots.begin(), dirty_slots.end());
-    const std::size_t n = dirty_slots.size();
-    for (std::size_t k = 0; k < n; ++k) {
-        if (k + kPrefetchDistance < n) {
-            // Gather prefetch: the master each upcoming dirty slot will
-            // merge into (and the mirror pair itself).
-            const std::uint64_t ahead = dirty_slots[k + kPrefetchDistance];
-            DIGRAPH_PREFETCH(
-                &plane.storage.vVal(plane.storage.vertexAt(ahead)));
-            DIGRAPH_PREFETCH(&plane.storage.sVal(ahead));
-        }
-        const std::uint64_t s = dirty_slots[k];
-        Value &mirror = plane.storage.sVal(s);
-        Value &loaded = plane.storage.loadedVal(s);
-        if (!algo.hasPush(mirror, loaded))
-            continue;
-        const VertexId v = plane.storage.vertexAt(s);
-        // Journal before the merge: accumulative algorithms mutate the
-        // master even when mergeMaster reports no activation-worthy
-        // change, so every pushed vertex is checkpoint-dirty.
-        if (journal)
-            plane.markVertexDirty(v);
-        if (algo.mergeMaster(plane.storage.vVal(v),
-                             algo.pushValue(mirror, loaded)))
-            changed.push_back(v);
-        loaded = mirror;
-        if (use_proxy && g.inDegree(v) >= proxy_indegree_threshold)
-            ++stats.proxy_pushes;
-        else
-            ++stats.atomic_pushes;
-    }
-    dirty.reset();
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()),
-                  changed.end());
-    return stats;
-}
-
-template <class AlgoT>
+template <unsigned LanesCT>
 void
-ReplicaSync::refreshLocalMirrorsT(ValuePlane &plane, const AlgoT &algo,
-                                  std::uint64_t slot_lo,
-                                  std::uint64_t slot_hi,
-                                  const std::vector<VertexId> &changed) const
+ReplicaSync::convertStaleQueue(ValuePlane &plane, PartitionId p,
+                               std::uint64_t slot_lo,
+                               std::uint64_t slot_hi,
+                               std::vector<VertexId> &stale_vertices,
+                               std::vector<std::uint64_t> &stale_lanes) const
 {
-    for (const VertexId v : changed) {
-        const Value master = plane.storage.vVal(v);
+    auto &queue = plane.stale_queue[p];
+    for (const VertexId v : queue) {
+        // The OR of every fan-out's changed lanes since this partition
+        // last ran (the same master may change in different lanes
+        // across waves before it runs).
+        const std::uint64_t lanes =
+            plane.takePending<LanesCT>(mirrorEntry(v, p));
+        bool any_stale = false;
         const auto occ_begin =
             occur_slots_.begin() +
             static_cast<std::ptrdiff_t>(occur_offsets_[v]);
@@ -95,52 +49,75 @@ ReplicaSync::refreshLocalMirrorsT(ValuePlane &plane, const AlgoT &algo,
         for (auto it = std::lower_bound(occ_begin, occ_end, slot_lo);
              it != occ_end && *it < slot_hi; ++it) {
             const std::uint64_t slot = *it;
-            Value &mirror = plane.storage.sVal(slot);
-            mirror = algo.pull(master, mirror);
-            plane.storage.loadedVal(slot) = mirror;
-            if (is_src_slot_[slot])
-                plane.activateSlot(slot);
+            if (plane.slot_seen_version[slot] !=
+                plane.master_version[v]) {
+                any_stale = true;
+                plane.slot_seen_version[slot] = plane.master_version[v];
+                if (is_src_slot_[slot])
+                    plane.activateSlot<LanesCT>(slot, lanes);
+            }
+        }
+        if (any_stale) {
+            stale_vertices.push_back(v);
+            if (plane.laneMasked<LanesCT>())
+                stale_lanes.push_back(lanes);
         }
     }
+    queue.clear();
 }
 
-template <class AlgoT>
+template <class AlgoT, unsigned LanesCT>
 PushStats
-ReplicaSync::pushDirtyMirrorsLanesT(
-    ValuePlane &plane, PartitionId p, const AlgoT &algo,
-    const graph::DirectedGraph &g, bool use_proxy,
-    std::uint32_t proxy_indegree_threshold, std::vector<VertexId> &changed,
-    std::vector<std::uint64_t> &changed_lanes) const
+ReplicaSync::pushDirtyMirrorsT(ValuePlane &plane, PartitionId p,
+                               const AlgoT &algo,
+                               const graph::DirectedGraph &g,
+                               bool use_proxy,
+                               std::uint32_t proxy_indegree_threshold,
+                               bool journal,
+                               std::vector<VertexId> &changed,
+                               std::vector<std::uint64_t> &changed_lanes)
+    const
 {
-    // Stripe-wise twin of pushDirtyMirrorsT: the dirty worklist stays
-    // slot-granular (one mark covers all K lanes of the written
-    // mirror), and each lane pushes independently into its stripe
-    // position. At K == 1 the control flow, push counts, and merge
-    // order are exactly the scalar phase's.
+    // Every dirty mirror pushes its pending value/delta to its master.
+    // Only slots written this round are examined — the incremental
+    // replacement of a full slot-range sweep. Ascending slot order keeps
+    // the merge order of the sweep. Refreshes are deferred to
+    // refreshLocalMirrorsT() so that a refresh of one replica can never
+    // clobber another replica's un-pushed work.
     PushStats stats;
-    const unsigned lanes = plane.lane_count;
+    const std::size_t k_lanes = plane.width<LanesCT>();
+    Value *const v_val = plane.storage.vVals().data();
+    Value *const s_val = plane.storage.sVals().data();
+    Value *const loaded_val = plane.storage.loadedVals().data();
+    const VertexId *const e_idx = plane.storage.eIdx().data();
     auto &dirty = plane.partition_dirty[p];
     auto &dirty_slots = dirty.slots();
     std::sort(dirty_slots.begin(), dirty_slots.end());
     const std::size_t n = dirty_slots.size();
     for (std::size_t k = 0; k < n; ++k) {
         if (k + kPrefetchDistance < n) {
+            // Gather prefetch: the master each upcoming dirty slot will
+            // merge into (and the mirror stripe itself).
             const std::uint64_t ahead = dirty_slots[k + kPrefetchDistance];
             DIGRAPH_PREFETCH(
-                &plane.lane_v[static_cast<std::size_t>(
-                                  plane.storage.vertexAt(ahead)) *
-                              lanes]);
-            DIGRAPH_PREFETCH(&plane.lane_s[ahead * lanes]);
+                &v_val[static_cast<std::size_t>(e_idx[ahead]) * k_lanes]);
+            DIGRAPH_PREFETCH(&s_val[ahead * k_lanes]);
         }
         const std::uint64_t s = dirty_slots[k];
-        Value *mirror = &plane.lane_s[s * lanes];
-        Value *loaded = &plane.lane_loaded[s * lanes];
-        const VertexId v = plane.storage.vertexAt(s);
-        Value *master = &plane.lane_v[static_cast<std::size_t>(v) * lanes];
+        Value *const mirror = &s_val[s * k_lanes];
+        Value *const loaded = &loaded_val[s * k_lanes];
+        const VertexId v = e_idx[s];
+        Value *const master = &v_val[static_cast<std::size_t>(v) * k_lanes];
         std::uint64_t changed_mask = 0;
-        for (unsigned l = 0; l < lanes; ++l) {
+        for (std::size_t l = 0; l < k_lanes; ++l) {
             if (!algo.hasPush(mirror[l], loaded[l]))
                 continue;
+            // Journal before the merge: accumulative algorithms mutate
+            // the master even when mergeMaster reports no
+            // activation-worthy change, so every pushed vertex is
+            // checkpoint-dirty.
+            if (journal)
+                plane.markVertexDirty(v);
             if (algo.mergeMaster(master[l],
                                  algo.pushValue(mirror[l], loaded[l])))
                 changed_mask |= std::uint64_t{1} << l;
@@ -152,26 +129,32 @@ ReplicaSync::pushDirtyMirrorsLanesT(
         }
         if (changed_mask) {
             changed.push_back(v);
-            changed_lanes.push_back(changed_mask);
+            if (plane.laneMasked<LanesCT>())
+                changed_lanes.push_back(changed_mask);
         }
     }
     dirty.reset();
-    sortMergeChangedLanes(changed, changed_lanes);
+    mergeChanged<LanesCT>(changed, changed_lanes);
     return stats;
 }
 
-template <class AlgoT>
+template <class AlgoT, unsigned LanesCT>
 void
-ReplicaSync::refreshLocalMirrorsLanesT(
+ReplicaSync::refreshLocalMirrorsT(
     ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
     std::uint64_t slot_hi, const std::vector<VertexId> &changed,
     const std::vector<std::uint64_t> &changed_lanes) const
 {
-    const unsigned lanes = plane.lane_count;
+    const std::size_t k_lanes = plane.width<LanesCT>();
+    const Value *const v_val = plane.storage.vVals().data();
+    Value *const s_val = plane.storage.sVals().data();
+    Value *const loaded_val = plane.storage.loadedVals().data();
     for (std::size_t i = 0; i < changed.size(); ++i) {
         const VertexId v = changed[i];
-        const Value *master =
-            &plane.lane_v[static_cast<std::size_t>(v) * lanes];
+        const std::uint64_t lanes =
+            plane.laneMaskAt<LanesCT>(changed_lanes, i);
+        const Value *const master =
+            &v_val[static_cast<std::size_t>(v) * k_lanes];
         const auto occ_begin =
             occur_slots_.begin() +
             static_cast<std::ptrdiff_t>(occur_offsets_[v]);
@@ -181,16 +164,16 @@ ReplicaSync::refreshLocalMirrorsLanesT(
         for (auto it = std::lower_bound(occ_begin, occ_end, slot_lo);
              it != occ_end && *it < slot_hi; ++it) {
             const std::uint64_t slot = *it;
-            Value *mirror = &plane.lane_s[slot * lanes];
-            Value *loaded = &plane.lane_loaded[slot * lanes];
-            for (unsigned l = 0; l < lanes; ++l) {
+            Value *const mirror = &s_val[slot * k_lanes];
+            Value *const loaded = &loaded_val[slot * k_lanes];
+            for (std::size_t l = 0; l < k_lanes; ++l) {
                 mirror[l] = algo.pull(master[l], mirror[l]);
                 loaded[l] = mirror[l];
             }
-            // Only the lanes whose master changed re-activate — the
-            // stripe refresh itself still covers all K (coherence).
+            // The refresh covers every lane (coherence); only the lanes
+            // whose master changed re-activate.
             if (is_src_slot_[slot])
-                plane.activateSlotLanesMask(slot, changed_lanes[i]);
+                plane.activateSlot<LanesCT>(slot, lanes);
         }
     }
 }

@@ -144,8 +144,8 @@ Transport::prefetchAll(PartitionId nparts, const Dispatcher &sched,
 double
 Transport::masterRefreshPulls(DeviceId dev,
                               const std::vector<VertexId> &stale_vertices,
-                              double ready, metrics::RunReport &report,
-                              const std::vector<std::uint64_t> *stale_lanes)
+                              const std::vector<std::uint64_t> &stale_lanes,
+                              double ready, metrics::RunReport &report)
 {
     std::vector<std::uint64_t> pull_bytes(platform_.numDevices(), 0);
     for (std::size_t i = 0; i < stale_vertices.size(); ++i) {
@@ -153,19 +153,17 @@ Transport::masterRefreshPulls(DeviceId dev,
         const DeviceId home = master_writer[v];
         if (home == kInvalidVertex || home == dev)
             continue;
-        if (stale_lanes != nullptr && value_lanes > 1) {
+        if (value_lanes > 1) {
             // Delta-encoded stripe: id + changed-lane mask + one value
             // per changed lane. (K = 1 keeps the scalar id + value wire
-            // format — a 1-lane message needs no mask, and the lane
-            // engine stays cycle-identical to the scalar engine.)
+            // format: a 1-lane message needs no mask.)
             pull_bytes[home] +=
                 sizeof(VertexId) + sizeof(std::uint64_t) +
                 static_cast<std::uint64_t>(
-                    std::popcount((*stale_lanes)[i])) *
+                    std::popcount(stale_lanes[i])) *
                     sizeof(Value);
         } else {
-            pull_bytes[home] +=
-                sizeof(VertexId) + value_lanes * sizeof(Value);
+            pull_bytes[home] += kMessageBytes;
         }
     }
     const double issue = ready;

@@ -46,11 +46,10 @@ class Transport
     std::vector<std::size_t> device_resident_bytes;
     /** True when the run has an active FaultPlan. */
     bool ft_enabled = false;
-    /** Value lanes K of the run (1 = scalar). Refresh pulls at K > 1
-     *  are delta-encoded per stale vertex (id + changed-lane mask + one
-     *  value per set bit) when the caller supplies the masks, and fall
-     *  back to the full K-value stripe otherwise; K = 1 always uses the
-     *  scalar id + value wire format (kMessageBytes). */
+    /** Value lanes K of the run. Refresh pulls at K > 1 are
+     *  delta-encoded per stale vertex (id + changed-lane mask + one
+     *  value per set bit); K = 1 keeps the scalar id + value wire
+     *  format (kMessageBytes). */
     unsigned value_lanes = 1;
     gpusim::FaultInjector injector;
     /** Per (device, smx) kernel-cycle multiplier (armed stalls). */
@@ -106,14 +105,14 @@ class Transport
     /** Ring master-refresh pulls for @p stale_vertices at dispatch
      *  replay: masters written on another device are pulled over the
      *  ring, one batch per source device; locally-written masters are
-     *  free. Lane runs pass @p stale_lanes (changed-lane mask per stale
-     *  vertex): the pull is then delta-encoded — id + mask + one value
-     *  per set bit — instead of the full K-value stripe. Returns the
-     *  updated ready time. */
-    double masterRefreshPulls(
-        DeviceId dev, const std::vector<VertexId> &stale_vertices,
-        double ready, metrics::RunReport &report,
-        const std::vector<std::uint64_t> *stale_lanes = nullptr);
+     *  free. At K > 1 @p stale_lanes holds each stale vertex's
+     *  changed-lane mask (parallel; empty at K = 1) and the pull is
+     *  delta-encoded — id + mask + one value per set bit — instead of
+     *  the full K-value stripe. Returns the updated ready time. */
+    double masterRefreshPulls(DeviceId dev,
+                              const std::vector<VertexId> &stale_vertices,
+                              const std::vector<std::uint64_t> &stale_lanes,
+                              double ready, metrics::RunReport &report);
 
     /** Charge recorded kernel rounds to the device clocks, exactly as
      *  the interleaved execution would have: group 0 chains on

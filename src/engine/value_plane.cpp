@@ -2,9 +2,48 @@
 
 #include <algorithm>
 
+#include "algorithms/multi_source.hpp"
 #include "common/logging.hpp"
 
 namespace digraph::engine {
+
+void
+ValuePlane::initializeState(const graph::DirectedGraph &g,
+                            const algorithms::Algorithm &algo,
+                            const WarmStart *warm)
+{
+    const std::vector<Value> *warm_v = warm ? warm->vertex_state : nullptr;
+    const std::vector<Value> *warm_e = warm ? warm->edge_state : nullptr;
+    if (warm_v && warm_v->size() != g.numVertices())
+        panic("DiGraphEngine::run: warm state size mismatch");
+    if (warm_e && warm_e->size() != g.numEdges())
+        panic("DiGraphEngine::run: warm edge-state size mismatch");
+    const auto *lane_algo =
+        dynamic_cast<const algorithms::LaneAlgorithm *>(&algo);
+    if (lane_algo) {
+        storage.initialize(
+            lane_algo->lanes(),
+            [&](VertexId v, unsigned l) {
+                return lane_algo->initVertexLane(g, v, l);
+            },
+            [&](EdgeId e, unsigned l) {
+                return lane_algo->initEdgeLane(g, e, l);
+            });
+        return;
+    }
+    storage.initialize(
+        1,
+        [&](VertexId v, unsigned) {
+            return warm_v ? (*warm_v)[v] : algo.initVertex(g, v);
+        },
+        [&](EdgeId e, unsigned) {
+            if (warm_e)
+                return (*warm_e)[e];
+            return warm ? algo.warmEdgeState(
+                              g, e, storage.vVal(g.edgeSource(e)))
+                        : algo.initEdge(g, e);
+        });
+}
 
 void
 ValuePlane::beginRun(const partition::Preprocessed &pre)
@@ -13,123 +52,46 @@ ValuePlane::beginRun(const partition::Preprocessed &pre)
         panic("ValuePlane::beginRun: no ReplicaSync attached");
     const PartitionId nparts = pre.numPartitions();
     const PathId npaths = pre.paths.numPaths();
-    slot_active.assign(storage.eIdx().size(), 0);
+    const std::size_t nslots = storage.eIdx().size();
+    const std::size_t nentries = sync_->numMirrorEntries();
+    // One activation width per run: flags at K = 1, lane masks above.
+    const bool masked = laneMasked();
+    slot_active.assign(masked ? 0 : nslots, 0);
+    slot_lane_mask.assign(masked ? nslots : 0, 0);
+    lane_active_slots.assign(
+        masked ? static_cast<std::size_t>(nparts) * lanes() : 0, 0);
+    stale_pending.assign(masked ? 0 : nentries, 0);
+    stale_pending_lanes.assign(masked ? nentries : 0, 0);
     master_version.assign(storage.numVertices(), 0);
-    slot_seen_version.assign(storage.eIdx().size(), 0);
+    slot_seen_version.assign(nslots, 0);
     partition_active.assign(nparts, 0);
     path_active_count.assign(npaths, 0);
     path_in_worklist.assign(npaths, 0);
     partition_worklist.assign(nparts, {});
     stale_queue.assign(nparts, {});
-    stale_pending.assign(sync_->numMirrorEntries(), 0);
-    stale_pending_lanes.clear();
     partition_dirty.resize(nparts);
     for (PartitionId q = 0; q < nparts; ++q) {
         partition_dirty[q].bind(
             storage.pathOffset(pre.partition_offsets[q]),
             storage.pathOffset(pre.partition_offsets[q + 1]));
     }
-    // Scalar by default; a lane run re-populates via initializeLanes().
-    lane_count = 0;
-    lane_full_mask = 0;
-    lane_v.clear();
-    lane_s.clear();
-    lane_loaded.clear();
-    lane_e.clear();
-    slot_lane_mask.clear();
-    lane_active_slots.clear();
 }
 
-void
-ValuePlane::initializeLanes(const graph::DirectedGraph &g,
-                            const algorithms::LaneAlgorithm &algo,
-                            const partition::Preprocessed &pre)
+std::uint64_t
+ValuePlane::activeLanes() const
 {
-    const unsigned k = algo.lanes();
-    if (k == 0 || k > algorithms::kMaxValueLanes)
-        panic("ValuePlane::initializeLanes: bad lane count ", k);
-    lane_count = k;
-    lane_full_mask = k == 64 ? ~std::uint64_t{0}
-                             : (std::uint64_t{1} << k) - 1;
-    const VertexId nv = storage.numVertices();
-    lane_v.resize(static_cast<std::size_t>(nv) * k);
-    for (VertexId v = 0; v < nv; ++v) {
-        for (unsigned l = 0; l < k; ++l)
-            lane_v[static_cast<std::size_t>(v) * k + l] =
-                algo.initVertexLane(g, v, l);
+    if (!laneMasked()) {
+        return std::any_of(path_active_count.begin(),
+                           path_active_count.end(),
+                           [](std::uint32_t n) { return n != 0; });
     }
-    const std::size_t nslots = storage.eIdx().size();
-    lane_s.resize(nslots * k);
-    lane_loaded.resize(nslots * k);
-    for (std::size_t s = 0; s < nslots; ++s) {
-        const std::size_t src =
-            static_cast<std::size_t>(storage.vertexAt(s)) * k;
-        for (unsigned l = 0; l < k; ++l) {
-            lane_s[s * k + l] = lane_v[src + l];
-            lane_loaded[s * k + l] = lane_v[src + l];
-        }
+    const unsigned k = lanes();
+    std::uint64_t mask = 0;
+    for (std::size_t i = 0; i < lane_active_slots.size(); ++i) {
+        if (lane_active_slots[i])
+            mask |= std::uint64_t{1} << (i % k);
     }
-    const std::size_t nedges = storage.layout().numPathEdges();
-    lane_e.resize(nedges * k);
-    for (std::size_t i = 0; i < nedges; ++i) {
-        const EdgeId e = storage.edgeIdAt(i);
-        for (unsigned l = 0; l < k; ++l)
-            lane_e[i * k + l] = algo.initEdgeLane(g, e, l);
-    }
-    slot_lane_mask.assign(nslots, 0);
-    lane_active_slots.assign(
-        static_cast<std::size_t>(pre.numPartitions()) * k, 0);
-    stale_pending_lanes.assign(sync_->numMirrorEntries(), 0);
-    stale_pending.clear();
-}
-
-void
-ValuePlane::initializeState(const graph::DirectedGraph &g,
-                            const algorithms::Algorithm &algo,
-                            const WarmStart *warm)
-{
-    std::vector<Value> vinit(g.numVertices());
-    if (warm && warm->vertex_state) {
-        if (warm->vertex_state->size() != g.numVertices())
-            panic("DiGraphEngine::run: warm state size mismatch");
-        vinit = *warm->vertex_state;
-    } else {
-        for (VertexId v = 0; v < g.numVertices(); ++v)
-            vinit[v] = algo.initVertex(g, v);
-    }
-    std::vector<Value> einit(g.numEdges());
-    if (warm && warm->edge_state) {
-        if (warm->edge_state->size() != g.numEdges())
-            panic("DiGraphEngine::run: warm edge-state size mismatch");
-        einit = *warm->edge_state;
-    } else {
-        for (EdgeId e = 0; e < g.numEdges(); ++e) {
-            einit[e] = warm ? algo.warmEdgeState(g, e,
-                                                 vinit[g.edgeSource(e)])
-                            : algo.initEdge(g, e);
-        }
-    }
-    storage.initialize(vinit, einit);
-}
-
-void
-ValuePlane::initFlat(const graph::DirectedGraph &g,
-                     const algorithms::Algorithm &algo, bool double_buffer)
-{
-    vertex_values.resize(g.numVertices());
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        vertex_values[v] = algo.initVertex(g, v);
-    edge_values.resize(g.numEdges());
-    for (EdgeId e = 0; e < g.numEdges(); ++e)
-        edge_values[e] = algo.initEdge(g, e);
-    vertex_active.assign(g.numVertices(), 0);
-    if (double_buffer) {
-        vertex_values_next = vertex_values;
-        vertex_active_next.assign(g.numVertices(), 0);
-    } else {
-        vertex_values_next.clear();
-        vertex_active_next.clear();
-    }
+    return mask;
 }
 
 void
@@ -140,7 +102,7 @@ ValuePlane::initCheckpoint(const graph::DirectedGraph &g,
     // only copy journalled-dirty entries.
     const auto vvals = storage.vVals();
     ckpt_v.assign(vvals.begin(), vvals.end());
-    const auto evals = storage.eVal();
+    const auto evals = storage.eVals();
     ckpt_e.assign(evals.begin(), evals.end());
     ckpt_v_dirty.assign(g.numVertices(), 0);
     ckpt_v_dirty_list.clear();
@@ -177,11 +139,15 @@ bool
 ValuePlane::bookkeepingConsistent(const partition::Preprocessed &pre) const
 {
     const PathId np = pre.paths.numPaths();
-    if (path_active_count.size() != np)
-        return slot_active.empty(); // run() has not initialized yet
+    if (path_active_count.size() != np) // run() has not initialized yet
+        return slot_active.empty() && slot_lane_mask.empty();
+    const bool masked = laneMasked();
+    const std::size_t nslots = sync_->numSlots();
+    if ((masked ? slot_lane_mask.size() : slot_active.size()) != nslots)
+        return false;
     std::vector<std::uint32_t> recount(np, 0);
-    for (std::uint64_t s = 0; s < slot_active.size(); ++s) {
-        if (slot_active[s])
+    for (std::uint64_t s = 0; s < nslots; ++s) {
+        if (masked ? slot_lane_mask[s] != 0 : slot_active[s] != 0)
             ++recount[sync_->pathOfSlot(s)];
     }
     for (PathId q = 0; q < np; ++q) {
@@ -206,14 +172,13 @@ ValuePlane::bookkeepingConsistent(const partition::Preprocessed &pre) const
     }
     // Stale queues: each queued vertex is mirrored by the queue's
     // partition, appears once, and holds that entry's pending flag
-    // (lane runs: a nonzero mask); every pending entry is queued.
+    // (K > 1: a nonzero mask); every pending entry is queued.
     const std::size_t nentries = sync_->numMirrorEntries();
-    const bool lanes = lane_count > 0;
-    if ((lanes ? stale_pending_lanes.size() : stale_pending.size()) !=
+    if ((masked ? stale_pending_lanes.size() : stale_pending.size()) !=
         nentries)
         return false;
     const auto pending = [&](std::uint64_t k) {
-        return lanes ? stale_pending_lanes[k] != 0 : stale_pending[k] != 0;
+        return masked ? stale_pending_lanes[k] != 0 : stale_pending[k] != 0;
     };
     std::vector<std::uint8_t> queued(nentries, 0);
     for (PartitionId q = 0; q < pre.numPartitions(); ++q) {
@@ -228,27 +193,24 @@ ValuePlane::bookkeepingConsistent(const partition::Preprocessed &pre) const
         if (pending(k) && !queued[k])
             return false;
     }
-    if (lanes) {
-        // Lane invariants: the scalar slot flag tracks the union over
-        // lanes, and the per-(partition, lane) counters recount.
+    if (masked) {
+        // Lane masks stay within K lanes, and the per-(partition, lane)
+        // counters recount.
+        const unsigned k = lanes();
+        const std::uint64_t full =
+            k == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
         std::vector<std::uint64_t> lane_recount(lane_active_slots.size(),
                                                 0);
-        for (std::uint64_t s = 0; s < slot_lane_mask.size(); ++s) {
+        for (std::uint64_t s = 0; s < nslots; ++s) {
             const std::uint64_t mask = slot_lane_mask[s];
-            if ((mask != 0) != (slot_active[s] != 0))
+            if (mask & ~full)
                 return false;
-            if (mask & ~lane_full_mask)
-                return false;
-            std::uint64_t m = mask;
+            if (mask == 0)
+                continue;
             const std::size_t base =
-                static_cast<std::size_t>(sync_->partitionOfSlot(s)) *
-                lane_count;
-            while (m) {
-                const unsigned l =
-                    static_cast<unsigned>(std::countr_zero(m));
-                m &= m - 1;
-                ++lane_recount[base + l];
-            }
+                static_cast<std::size_t>(sync_->partitionOfSlot(s)) * k;
+            forEachLane<0>(mask,
+                           [&](unsigned l) { ++lane_recount[base + l]; });
         }
         if (lane_recount != lane_active_slots)
             return false;
@@ -274,9 +236,6 @@ ValuePlane::memoryBytes() const
     bytes += stale_pending_lanes.size() * sizeof(std::uint64_t);
     for (const auto &dirty : partition_dirty)
         bytes += dirty.memoryBytes();
-    bytes += (lane_v.size() + lane_s.size() + lane_loaded.size() +
-              lane_e.size()) *
-             sizeof(Value);
     bytes += slot_lane_mask.size() * sizeof(std::uint64_t);
     bytes += lane_active_slots.size() * sizeof(std::uint64_t);
     bytes += (ckpt_v.size() + ckpt_e.size()) * sizeof(Value);
@@ -284,11 +243,6 @@ ValuePlane::memoryBytes() const
     bytes += ckpt_v_dirty_list.capacity() * sizeof(VertexId);
     bytes += ckpt_part_dirty.size() * sizeof(std::uint8_t);
     bytes += ckpt_part_dirty_list.capacity() * sizeof(PartitionId);
-    bytes += (vertex_values.size() + vertex_values_next.size() +
-              edge_values.size()) *
-             sizeof(Value);
-    bytes += (vertex_active.size() + vertex_active_next.size()) *
-             sizeof(std::uint8_t);
     return bytes;
 }
 

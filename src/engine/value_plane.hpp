@@ -2,30 +2,34 @@
  * @file
  * Per-job value plane of the execution substrate (DESIGN.md §12): every
  * piece of *mutable* run state one job owns — the four-array value
- * storage (V_val/S_val/E_val over a shared PathLayout), activation
- * bitsets and incremental worklists, master version clocks, and the
- * checkpoint copy-on-write shadows of the fault layer.
+ * storage (V_val/S_val/E_val over a shared PathLayout, K values per
+ * entry), activation flags or lane masks and incremental worklists,
+ * master version clocks, and the checkpoint copy-on-write shadows of
+ * the fault layer.
  *
  * Ownership rule: the shared substrate layers (ReplicaSync, Dispatcher)
  * are read-only; anything a run mutates lives here, so N concurrent
  * jobs over one substrate are fully isolated by giving each its own
  * ValuePlane. Within one job, dispatches run one at a time.
  *
- * The flat-mode arrays serve the baseline engines (BSP/async/
- * sequential), which iterate on plain per-vertex/per-edge state without
- * path storage; they share the plane type so snapshotting, convergence
- * sweeps, and reporting are uniform across engine families.
+ * Activation width: a 1-lane run keeps one byte per slot (slot_active)
+ * and per mirror entry (stale_pending); a K > 1 run keeps a lane mask
+ * in their place (slot_lane_mask, stale_pending_lanes) plus per-lane
+ * active-slot counters. The helpers templated on LanesCT pick the width
+ * (LanesCT = 1 or > 1 at compile time, 0 = from lanes() at run time),
+ * so every caller is one function over lane masks; a 1-lane run's only
+ * lane is bit 0.
  */
 
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "algorithms/algorithm.hpp"
-#include "algorithms/multi_source.hpp"
 #include "common/types.hpp"
 #include "engine/replica_sync.hpp"
 #include "graph/digraph.hpp"
@@ -48,18 +52,45 @@ struct WarmStart
 };
 
 /**
+ * Call @p f(lane) for each lane set in @p mask, ascending. @p mask must
+ * be nonzero; with LanesCT = 1 the only lane is 0 and the mask is never
+ * read, so 1-lane loops compile to a single call.
+ */
+template <unsigned LanesCT, class F>
+inline void
+forEachLane(std::uint64_t mask, F &&f)
+{
+    if constexpr (LanesCT == 1) {
+        (void)mask;
+        f(0u);
+    } else {
+        while (mask) {
+            const unsigned lane =
+                static_cast<unsigned>(std::countr_zero(mask));
+            mask &= mask - 1;
+            f(lane);
+        }
+    }
+}
+
+/**
  * All mutable per-job state of one engine run.
  */
 class ValuePlane
 {
   public:
-    // --- four-array value storage (path engines) ---
+    // --- four-array value storage, lanes() values per entry ---
     storage::PathStorage storage;
 
-    // --- activation / version state (path engines) ---
-    /** Chain activation within the current dispatch (set by processed
-     *  edges and local refreshes). */
+    // --- activation / version state ---
+    /** 1-lane runs: chain activation within the current dispatch (set
+     *  by processed edges and local refreshes). Empty when K > 1. */
     std::vector<std::uint8_t> slot_active;
+    /** K > 1: active-lane mask per slot, in place of slot_active. */
+    std::vector<std::uint64_t> slot_lane_mask;
+    /** K > 1: active slots per (partition, lane), indexed
+     *  p * K + lane; per-lane convergence reads them at wave end. */
+    std::vector<std::uint64_t> lane_active_slots;
     /** Master change counter per vertex; a source slot whose seen
      *  version lags must re-propagate (cross-partition activation
      *  without per-slot broadcasts). */
@@ -85,24 +116,23 @@ class ValuePlane
      *  non-empty at convergence (a partition holding the vertex only at
      *  a path tail is never woken to consume it). */
     std::vector<std::vector<VertexId>> stale_queue;
-    /** Scalar runs: per mirror-CSR entry (a (vertex, mirroring
+    /** 1-lane runs: per mirror-CSR entry (a (vertex, mirroring
      *  partition) pair, ReplicaSync::mirrorEntry()), set while the
      *  vertex sits in that partition's stale_queue. Set only by a
      *  dispatch's barrier fan-out; cleared only by the owning
-     *  partition's dispatch (or device-loss recovery). Empty on lane
-     *  runs. */
+     *  partition's dispatch (or device-loss recovery). Empty when
+     *  K > 1. */
     std::vector<std::uint8_t> stale_pending;
-    /** Lane runs: per mirror-CSR entry, the OR of the lanes whose master
-     *  changed since the partition last absorbed the vertex; nonzero
-     *  exactly while the vertex is queued. Conversion activates only the
-     *  masked lanes. Same ownership as stale_pending; empty on scalar
-     *  runs. */
+    /** K > 1: per mirror-CSR entry, the OR of the lanes whose master
+     *  changed since the partition last absorbed the vertex, in place
+     *  of stale_pending; nonzero exactly while the vertex is queued.
+     *  Conversion activates only the masked lanes. */
     std::vector<std::uint64_t> stale_pending_lanes;
     /** Per partition: dirty-slot worklist for the mirror-push phase. */
     std::vector<storage::SlotDirtySet> partition_dirty;
 
     // --- checkpoint COW state (fault layer; allocated only when fault
-    // tolerance is enabled) ---
+    // tolerance is enabled, which only 1-lane runs allow) ---
     /** Shadow copy of V_val at the last checkpoint epoch. */
     std::vector<Value> ckpt_v;
     /** Shadow copy of E_val at the last checkpoint epoch. */
@@ -115,43 +145,6 @@ class ValuePlane
     std::vector<PartitionId> ckpt_part_dirty_list;
     /** Wave of the last checkpoint epoch. */
     std::uint64_t ckpt_wave = 0;
-
-    // --- K-wide lane state (batched multi-source mode, DESIGN.md §17;
-    // lane_count == 0 on scalar runs and every lane array stays empty).
-    // SoA stripe layout: entity index * lane_count + lane, so the K
-    // values of one vertex/slot/edge are contiguous (SIMD-friendly). ---
-    /** Value lanes K of the current run (0 = scalar mode). */
-    unsigned lane_count = 0;
-    /** All-lanes activation mask ((1 << K) - 1; 0 in scalar mode). */
-    std::uint64_t lane_full_mask = 0;
-    /** Master states: numVertices x K stripes (the lane V_val). */
-    std::vector<Value> lane_v;
-    /** Mirror states: numSlots x K stripes (the lane S_val). */
-    std::vector<Value> lane_s;
-    /** Partition-load snapshots, parallel to lane_s. */
-    std::vector<Value> lane_loaded;
-    /** Per-edge caches: numPathEdges x K stripes (the lane E_val). */
-    std::vector<Value> lane_e;
-    /** Active-lane bitset per slot. Invariant: slot_active[s] ==
-     *  (slot_lane_mask[s] != 0), so the scalar path/worklist
-     *  bookkeeping tracks the union over lanes unchanged. */
-    std::vector<std::uint64_t> slot_lane_mask;
-    /** Active slots per (partition, lane): numPartitions x K, indexed
-     *  p * lane_count + lane; per-lane convergence sums the column at
-     *  wave end. */
-    std::vector<std::uint64_t> lane_active_slots;
-
-    // --- flat-mode state (baseline engines) ---
-    /** Per-vertex values (current iterate). */
-    std::vector<Value> vertex_values;
-    /** Per-vertex values of the next iterate (BSP double buffer). */
-    std::vector<Value> vertex_values_next;
-    /** Per-edge cached values. */
-    std::vector<Value> edge_values;
-    /** Per-vertex activation flags (current round). */
-    std::vector<std::uint8_t> vertex_active;
-    /** Per-vertex activation flags being built for the next round. */
-    std::vector<std::uint8_t> vertex_active_next;
 
     /** Bind the storage to @p layout, sharing the immutable topology
      *  (the substrate path; fresh value arrays are allocated). */
@@ -166,123 +159,142 @@ class ValuePlane
      *  bookkeeping consults. Must precede beginRun(). */
     void attach(const ReplicaSync *sync) { sync_ = sync; }
 
-    /** Reset/resize every per-run structure for a run over @p pre
-     *  (storage values are initialized separately). */
-    void beginRun(const partition::Preprocessed &pre);
+    /** Value lanes K of the current run. */
+    unsigned lanes() const { return storage.lanes(); }
 
-    /** Initialize the four arrays from @p algo (or from @p warm).
+    /** K of a LanesCT body: the compile-time count, or lanes(). */
+    template <unsigned LanesCT>
+    unsigned
+    width() const
+    {
+        if constexpr (LanesCT != 0)
+            return LanesCT;
+        else
+            return lanes();
+    }
+
+    /** Whether the run keeps lane masks (K > 1) rather than flags. */
+    template <unsigned LanesCT = 0>
+    bool
+    laneMasked() const
+    {
+        if constexpr (LanesCT != 0)
+            return LanesCT > 1;
+        else
+            return lanes() > 1;
+    }
+
+    /** Lane mask @p i of a changed/stale vertex list: 1-lane runs keep
+     *  no masks, so every entry is lane 0. */
+    template <unsigned LanesCT>
+    std::uint64_t
+    laneMaskAt(const std::vector<std::uint64_t> &masks, std::size_t i) const
+    {
+        return laneMasked<LanesCT>() ? masks[i] : 1;
+    }
+
+    /** Initialize the four arrays from @p algo (or from @p warm): K =
+     *  lanes() of a LaneAlgorithm, else 1. Precedes beginRun().
      *  @throws via panic() on warm-start size mismatches. */
     void initializeState(const graph::DirectedGraph &g,
                          const algorithms::Algorithm &algo,
                          const WarmStart *warm);
 
-    /** Allocate/initialize the flat-mode arrays from @p algo.
-     *  @param double_buffer Also materialize vertex_values_next /
-     *  vertex_active_next (BSP). */
-    void initFlat(const graph::DirectedGraph &g,
-                  const algorithms::Algorithm &algo, bool double_buffer);
+    /** Reset/resize every per-run structure for a run over @p pre, at
+     *  the activation width of the storage's lanes(). */
+    void beginRun(const partition::Preprocessed &pre);
 
-    /** Set a slot's activation flag, maintaining the per-path active
-     *  counter and the owning partition's path worklist. */
+    /** Activate the lanes in @p lanes of a slot. The path counter and
+     *  partition worklist engage on the slot's first active lane; a
+     *  1-lane run just sets the slot's flag. */
+    template <unsigned LanesCT = 0>
     void
-    activateSlot(std::uint64_t slot)
+    activateSlot(std::uint64_t slot, std::uint64_t lanes)
     {
-        if (slot_active[slot])
+        if (!laneMasked<LanesCT>()) {
+            if (slot_active[slot])
+                return;
+            slot_active[slot] = 1;
+            enlist(slot);
             return;
-        slot_active[slot] = 1;
-        const PathId q = sync_->pathOfSlot(slot);
-        if (path_active_count[q]++ == 0 && !path_in_worklist[q]) {
-            path_in_worklist[q] = 1;
-            partition_worklist[sync_->partitionOfPath(q)].push_back(q);
         }
-    }
-
-    /** Clear a processed slot's activation flag (counter bookkeeping). */
-    void
-    deactivateSlot(std::uint64_t slot)
-    {
-        if (slot_active[slot]) {
-            slot_active[slot] = 0;
-            --path_active_count[sync_->pathOfSlot(slot)];
-        }
-    }
-
-    /** Allocate and initialize every lane array for a K-wide run over
-     *  @p algo (called after beginRun(), which resets lane_count to 0
-     *  for scalar runs). */
-    void initializeLanes(const graph::DirectedGraph &g,
-                         const algorithms::LaneAlgorithm &algo,
-                         const partition::Preprocessed &pre);
-
-    /** Activate one lane of a slot. The union bookkeeping (slot flag,
-     *  path counter, partition worklist) engages only on the slot's
-     *  first active lane, preserving the slot_active invariant. */
-    void
-    activateSlotLane(std::uint64_t slot, unsigned lane)
-    {
-        const std::uint64_t bit = std::uint64_t{1} << lane;
         std::uint64_t &mask = slot_lane_mask[slot];
-        if (mask & bit)
-            return;
-        if (mask == 0)
-            activateSlot(slot);
-        mask |= bit;
-        ++lane_active_slots[static_cast<std::size_t>(
-                                sync_->partitionOfSlot(slot)) *
-                                lane_count +
-                            lane];
-    }
-
-    /** Activate the lanes in @p lanes_mask of a slot (staleness /
-     *  refresh paths: the scalar engine re-activates the whole slot
-     *  there; the lane twin activates exactly the lanes whose master
-     *  changed, so one lane's progress never schedules edge work for
-     *  the other K-1 lanes). */
-    void
-    activateSlotLanesMask(std::uint64_t slot, std::uint64_t lanes_mask)
-    {
-        std::uint64_t &mask = slot_lane_mask[slot];
-        std::uint64_t missing = lanes_mask & ~mask;
+        const std::uint64_t missing = lanes & ~mask;
         if (!missing)
             return;
         if (mask == 0)
-            activateSlot(slot);
-        const std::size_t base = static_cast<std::size_t>(
-                                     sync_->partitionOfSlot(slot)) *
-                                 lane_count;
+            enlist(slot);
         mask |= missing;
-        while (missing) {
-            const unsigned l =
-                static_cast<unsigned>(std::countr_zero(missing));
-            missing &= missing - 1;
-            ++lane_active_slots[base + l];
-        }
+        const std::size_t base =
+            static_cast<std::size_t>(sync_->partitionOfSlot(slot)) *
+            width<LanesCT>();
+        forEachLane<LanesCT>(
+            missing, [&](unsigned l) { ++lane_active_slots[base + l]; });
     }
 
-    /** Take and clear a slot's whole activation mask (the lane kernel's
-     *  walk consume; @p p is the owning partition). Returns the taken
-     *  mask (0 = slot was inactive). */
+    /** Take and clear the activation of slot @p slot of path @p q in
+     *  partition @p p (the wave body's walk). Returns the taken lanes
+     *  (0 = the slot was inactive). */
+    template <unsigned LanesCT>
     std::uint64_t
-    consumeSlotLanes(std::uint64_t slot, PartitionId p)
+    consumeSlot(std::uint64_t slot, PathId q, PartitionId p)
     {
+        if (!laneMasked<LanesCT>()) {
+            if (!slot_active[slot])
+                return 0;
+            slot_active[slot] = 0;
+            --path_active_count[q];
+            return 1;
+        }
         std::uint64_t &mask = slot_lane_mask[slot];
         const std::uint64_t taken = mask;
         if (!taken)
             return 0;
         mask = 0;
-        slot_active[slot] = 0;
-        --path_active_count[sync_->pathOfSlot(slot)];
+        --path_active_count[q];
         const std::size_t base =
-            static_cast<std::size_t>(p) * lane_count;
-        std::uint64_t m = taken;
-        while (m) {
-            const unsigned l =
-                static_cast<unsigned>(std::countr_zero(m));
-            m &= m - 1;
-            --lane_active_slots[base + l];
-        }
+            static_cast<std::size_t>(p) * width<LanesCT>();
+        forEachLane<LanesCT>(
+            taken, [&](unsigned l) { --lane_active_slots[base + l]; });
         return taken;
     }
+
+    /** Take and clear mirror entry @p entry's pending lanes (the stale
+     *  queue conversion). */
+    template <unsigned LanesCT>
+    std::uint64_t
+    takePending(std::uint64_t entry)
+    {
+        if (!laneMasked<LanesCT>()) {
+            const std::uint64_t taken = stale_pending[entry];
+            stale_pending[entry] = 0;
+            return taken;
+        }
+        const std::uint64_t taken = stale_pending_lanes[entry];
+        stale_pending_lanes[entry] = 0;
+        return taken;
+    }
+
+    /** Add @p lanes to mirror entry @p entry's pending lanes; true when
+     *  none were pending, i.e. the caller must enqueue the vertex. */
+    template <unsigned LanesCT>
+    bool
+    addPending(std::uint64_t entry, std::uint64_t lanes)
+    {
+        if (!laneMasked<LanesCT>()) {
+            if (stale_pending[entry])
+                return false;
+            stale_pending[entry] = 1;
+            return true;
+        }
+        std::uint64_t &pending = stale_pending_lanes[entry];
+        const bool was_clear = pending == 0;
+        pending |= lanes;
+        return was_clear;
+    }
+
+    /** Mask of the lanes that still have an active slot. */
+    std::uint64_t activeLanes() const;
 
     /** Journal a master mutation since the last checkpoint epoch. */
     void
@@ -316,21 +328,34 @@ class ValuePlane
 
     /**
      * Validate the incremental activation bookkeeping (tests): per-path
-     * active-slot counters must equal a full recount of slot flags,
+     * active-slot counters must equal a full recount of active slots,
      * every path with a nonzero counter must sit in its partition's
      * worklist, and the stale queues must match their pending flags
-     * (lane runs: masks) — every queued vertex is mirrored by that
-     * queue's partition, appears once, and is flagged, and every
-     * flagged entry is queued. O(total slots) — debug/tests only.
+     * (K > 1: masks) — every queued vertex is mirrored by that queue's
+     * partition, appears once, and is flagged, and every flagged entry
+     * is queued. K > 1 also recounts the per-lane counters. O(total
+     * slots) — debug/tests only.
      */
     bool bookkeepingConsistent(const partition::Preprocessed &pre) const;
 
     /** Host bytes of every per-job array this plane owns (value
-     *  storage, activation/worklist state, checkpoint shadows, flat
-     *  arrays) — excludes the shared layout and indexes. */
+     *  storage, activation/worklist state, checkpoint shadows) —
+     *  excludes the shared layout and indexes. */
     std::size_t memoryBytes() const;
 
   private:
+    /** A slot's first active lane: count it on its path and put the
+     *  path on its partition's worklist. */
+    void
+    enlist(std::uint64_t slot)
+    {
+        const PathId q = sync_->pathOfSlot(slot);
+        if (path_active_count[q]++ == 0 && !path_in_worklist[q]) {
+            path_in_worklist[q] = 1;
+            partition_worklist[sync_->partitionOfPath(q)].push_back(q);
+        }
+    }
+
     const ReplicaSync *sync_ = nullptr;
 };
 

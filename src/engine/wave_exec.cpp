@@ -55,9 +55,9 @@ DiGraphEngine::replayDispatch(const DispatchOutcome &outcome,
     // another device are pulled over the ring, one batch per source
     // device. The stale vertices were collected from the incremental
     // stale queue at dispatch start.
-    ready = transport_.masterRefreshPulls(
-        dev, outcome.stale_vertices, ready, report,
-        plane_.lane_count > 0 ? &outcome.stale_lanes : nullptr);
+    ready = transport_.masterRefreshPulls(dev, outcome.stale_vertices,
+                                          outcome.stale_lanes, ready,
+                                          report);
 
     // Charge the recorded kernel rounds to the device clocks, exactly as
     // the interleaved execution would have: group 0 chains on the home
@@ -86,12 +86,8 @@ DiGraphEngine::replayDispatch(const DispatchOutcome &outcome,
     // into the worklist; partitions woken from inactive get ring
     // notification transfers.
     std::vector<PartitionId> activated_parts;
-    if (plane_.lane_count > 0) {
-        sync_.fanOutChangedLanes(plane_, p, changed,
-                                 outcome.changed_lanes, activated_parts);
-    } else {
-        sync_.fanOutChanged(plane_, p, changed, activated_parts);
-    }
+    sync_.fanOutChanged(plane_, p, changed, outcome.changed_lanes,
+                        activated_parts);
     std::sort(activated_parts.begin(), activated_parts.end());
     activated_parts.erase(
         std::unique(activated_parts.begin(), activated_parts.end()),

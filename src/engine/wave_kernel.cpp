@@ -1,8 +1,10 @@
 /**
  * @file
  * Wave-kernel registry: the only translation unit that instantiates the
- * shared wave body (wave_body.hpp), once per
- * (kernel policy x execution mode x trace) combination.
+ * shared wave body (wave_body.hpp), once per (kernel policy x execution
+ * mode x trace x lanes) combination: 9 scalar policies x 3 modes x 2 at
+ * LanesCT = 1, plus the 3 lane policies x 2 path modes x 2 at
+ * LanesCT = 8 and 0 — 78 bodies.
  *
  * Resolution contract (see Algorithm::kernelTag()): an algorithm
  * resolves iff its kernelTag() matches a registry entry AND it IS-A
@@ -33,89 +35,55 @@ namespace digraph::engine {
 
 namespace {
 
-template <class AlgoT, ExecutionMode M, bool TraceOn>
+template <class AlgoT, ExecutionMode M, bool TraceOn, unsigned LanesCT>
 DispatchOutcome
 computeThunk(DiGraphEngine &eng, PartitionId p, const void *policy)
 {
-    return WaveKernels::compute<AlgoT, M, TraceOn>(
+    return WaveKernels::compute<AlgoT, M, TraceOn, LanesCT>(
         eng, p, *static_cast<const AlgoT *>(policy));
 }
 
-template <class AlgoT>
+template <class AlgoT, ExecutionMode M, unsigned LanesCT>
+ResolvedKernel::ComputeFn
+pickTrace(bool trace_on)
+{
+    return trace_on ? &computeThunk<AlgoT, M, true, LanesCT>
+                    : &computeThunk<AlgoT, M, false, LanesCT>;
+}
+
+/** The body for @p mode at LanesCT lanes; VertexAsync exists only at
+ *  LanesCT = 1 (the engine rejects lane runs under it). */
+template <class AlgoT, unsigned LanesCT>
 ResolvedKernel::ComputeFn
 pickCompute(ExecutionMode mode, bool trace_on)
 {
     switch (mode) {
       case ExecutionMode::PathAsync:
-        return trace_on
-                   ? &computeThunk<AlgoT, ExecutionMode::PathAsync, true>
-                   : &computeThunk<AlgoT, ExecutionMode::PathAsync, false>;
+        return pickTrace<AlgoT, ExecutionMode::PathAsync, LanesCT>(
+            trace_on);
       case ExecutionMode::PathNoSched:
-        return trace_on
-                   ? &computeThunk<AlgoT, ExecutionMode::PathNoSched, true>
-                   : &computeThunk<AlgoT, ExecutionMode::PathNoSched,
-                                   false>;
+        return pickTrace<AlgoT, ExecutionMode::PathNoSched, LanesCT>(
+            trace_on);
       case ExecutionMode::VertexAsync:
-        return trace_on
-                   ? &computeThunk<AlgoT, ExecutionMode::VertexAsync, true>
-                   : &computeThunk<AlgoT, ExecutionMode::VertexAsync,
-                                   false>;
-    }
-    return nullptr; // unreachable
-}
-
-// --- lane (batched multi-source) rows ---
-
-template <class AlgoT, ExecutionMode M, bool TraceOn, unsigned LanesCT>
-DispatchOutcome
-computeLanesThunk(DiGraphEngine &eng, PartitionId p,
-                  const void *policy)
-{
-    return WaveKernels::computeLanes<AlgoT, M, TraceOn, LanesCT>(
-        eng, p, *static_cast<const AlgoT *>(policy));
-}
-
-template <class AlgoT, unsigned LanesCT>
-ResolvedKernel::ComputeFn
-pickLaneMode(ExecutionMode mode, bool trace_on)
-{
-    switch (mode) {
-      case ExecutionMode::PathAsync:
-        return trace_on
-                   ? &computeLanesThunk<AlgoT, ExecutionMode::PathAsync,
-                                        true, LanesCT>
-                   : &computeLanesThunk<AlgoT, ExecutionMode::PathAsync,
-                                        false, LanesCT>;
-      case ExecutionMode::PathNoSched:
-        return trace_on
-                   ? &computeLanesThunk<AlgoT, ExecutionMode::PathNoSched,
-                                        true, LanesCT>
-                   : &computeLanesThunk<AlgoT, ExecutionMode::PathNoSched,
-                                        false, LanesCT>;
-      case ExecutionMode::VertexAsync:
-        break; // engine rejects lane runs under VertexAsync
+        if constexpr (LanesCT == 1) {
+            return pickTrace<AlgoT, ExecutionMode::VertexAsync, 1>(
+                trace_on);
+        }
+        break;
     }
     panic("resolveWaveKernel: lane runs require a path mode");
 }
 
-/** Lane bodies exist at LanesCT = 0 (run-time K) and 8 (the batched-PPR
- *  sweet spot the bench measures — the stripe loops unroll). */
-template <class AlgoT>
-ResolvedKernel::ComputeFn
-pickLaneCompute(ExecutionMode mode, bool trace_on, unsigned lanes)
-{
-    return lanes == 8 ? pickLaneMode<AlgoT, 8>(mode, trace_on)
-                      : pickLaneMode<AlgoT, 0>(mode, trace_on);
-}
-
 /** Try to resolve @p algo as a lane algorithm realizing @p Policy
  *  (registry row @p expected; mirrors tryResolve's tag + IS-A gate on
- *  the LanePolicyAlgorithm adapter). */
+ *  the LanePolicyAlgorithm adapter). K = 1 shares the scalar row's
+ *  1-lane body (same policy type), K = 8 has its own, and every other
+ *  K runs the run-time-K body. */
 template <class Policy>
 bool
 tryResolveLanes(const algorithms::Algorithm &algo, const std::string &tag,
                 const char *expected, const EngineOptions &options,
-                bool trace_on, unsigned lanes, ResolvedKernel &out)
+                bool trace_on, ResolvedKernel &out)
 {
     if (tag != expected)
         return false;
@@ -124,8 +92,12 @@ tryResolveLanes(const algorithms::Algorithm &algo, const std::string &tag,
             &algo);
     if (!typed)
         return false;
+    const unsigned lanes = typed->lanes();
     out.name = std::string(expected) + ":lanes";
-    out.compute = pickLaneCompute<Policy>(options.mode, trace_on, lanes);
+    out.compute =
+        lanes == 1   ? pickCompute<Policy, 1>(options.mode, trace_on)
+        : lanes == 8 ? pickCompute<Policy, 8>(options.mode, trace_on)
+                     : pickCompute<Policy, 0>(options.mode, trace_on);
     out.policy = std::make_shared<const Policy>(typed->kernelPolicy());
     return true;
 }
@@ -144,7 +116,7 @@ tryResolve(const algorithms::Algorithm &algo, const std::string &tag,
         return false;
     using Policy = typename AlgoClass::KernelPolicy;
     out.name = expected;
-    out.compute = pickCompute<Policy>(options.mode, trace_on);
+    out.compute = pickCompute<Policy, 1>(options.mode, trace_on);
     out.policy = std::make_shared<const Policy>(typed->kernelPolicy());
     return true;
 }
@@ -153,23 +125,17 @@ tryResolve(const algorithms::Algorithm &algo, const std::string &tag,
 
 std::optional<ResolvedKernel>
 resolveWaveKernel(const algorithms::Algorithm &algo,
-                  const EngineOptions &options, bool trace_on,
-                  unsigned lanes)
+                  const EngineOptions &options, bool trace_on)
 {
     ResolvedKernel k;
     const std::string tag = algo.kernelTag();
-    if (lanes > 0) {
-        if (tryResolveLanes<algorithms::PageRankPolicy>(
-                algo, tag, "pagerank", options, trace_on, lanes, k) ||
-            tryResolveLanes<algorithms::BfsPolicy>(
-                algo, tag, "bfs", options, trace_on, lanes, k) ||
-            tryResolveLanes<algorithms::SsspPolicy>(
-                algo, tag, "sssp", options, trace_on, lanes, k)) {
-            return k;
-        }
-        return std::nullopt;
-    }
-    if (tryResolve<algorithms::PageRank>(algo, tag, "pagerank", options,
+    if (tryResolveLanes<algorithms::PageRankPolicy>(algo, tag, "pagerank",
+                                                    options, trace_on, k) ||
+        tryResolveLanes<algorithms::BfsPolicy>(algo, tag, "bfs", options,
+                                               trace_on, k) ||
+        tryResolveLanes<algorithms::SsspPolicy>(algo, tag, "sssp", options,
+                                                trace_on, k) ||
+        tryResolve<algorithms::PageRank>(algo, tag, "pagerank", options,
                                          trace_on, k) ||
         tryResolve<algorithms::Katz>(algo, tag, "katz", options, trace_on,
                                      k) ||

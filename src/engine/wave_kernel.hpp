@@ -4,12 +4,13 @@
  *
  * The wave compute phase is a single body template (wave_body.hpp)
  * instantiated per (algorithm kernel policy x execution mode x trace
- * on/off). resolveWaveKernel() maps a concrete Algorithm plus the
- * engine options to one such instantiation ONCE per run: the hot loop
- * then calls the algorithm's per-edge math through an
+ * on/off x value lanes). resolveWaveKernel() maps a concrete Algorithm
+ * plus the engine options to one such instantiation ONCE per run: the
+ * hot loop then calls the algorithm's per-edge math through an
  * inlined policy copy — zero virtual dispatch per edge, dead feature
  * branches (tracing, unused weight/out-degree loads, the VertexAsync
- * snapshot machinery) compiled out.
+ * snapshot machinery, the lane dimension of 1-lane runs) compiled
+ * out.
  *
  * Resolution is gated on Algorithm::kernelTag(): a subclass that
  * overrides processing semantics must return "" (contract documented on
@@ -57,16 +58,15 @@ struct ResolvedKernel
  * Resolve @p algo against the kernel registry under @p options.
  * @param trace_on Whether a trace sink is attached for this run (selects
  *        the TraceOn body so a disabled trace costs nothing at all).
- * @param lanes Value lanes K of the run (0 = scalar). Lane runs resolve
- *        against the lane-body rows (LanePolicyAlgorithm match); path
- *        modes only.
+ * A LanePolicyAlgorithm resolves against the lane rows ("<tag>:lanes";
+ * path modes only): the body compiled for its K (1 or 8) or the
+ * run-time-K body. Every other algorithm runs the 1-lane body.
  * @return std::nullopt when @p algo matches no registry row: its
  *         kernelTag() is empty or unknown, or it is not the registered
  *         class (a LaneAlgorithm that is not a LanePolicyAlgorithm).
  */
 std::optional<ResolvedKernel>
 resolveWaveKernel(const algorithms::Algorithm &algo,
-                  const EngineOptions &options, bool trace_on,
-                  unsigned lanes = 0);
+                  const EngineOptions &options, bool trace_on);
 
 } // namespace digraph::engine

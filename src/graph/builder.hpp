@@ -62,9 +62,6 @@ class GraphBuilder
     /** Append a batch of edges. */
     void addEdges(const std::vector<Edge> &edges);
 
-    /** Number of edges currently buffered. */
-    std::size_t edgeCount() const { return edges_.size(); }
-
     /** Drop self-loops during build(). Default true. */
     void setRemoveSelfLoops(bool on) { remove_self_loops_ = on; }
 

@@ -1,7 +1,6 @@
 #include "storage/path_storage.hpp"
 
 #include "common/logging.hpp"
-#include "common/prefetch.hpp"
 
 namespace digraph::storage {
 
@@ -53,7 +52,8 @@ PathLayout::memoryBytes() const
 
 PathStorage::PathStorage(const partition::PathSet &paths,
                          const graph::DirectedGraph &g)
-    : layout_(std::make_shared<PathLayout>(paths))
+    : layout_(std::make_shared<PathLayout>(paths)),
+      num_vertices_(g.numVertices())
 {
     s_val_.assign(layout_->numSlots(), 0.0);
     loaded_val_.assign(layout_->numSlots(), 0.0);
@@ -63,7 +63,7 @@ PathStorage::PathStorage(const partition::PathSet &paths,
 
 PathStorage::PathStorage(std::shared_ptr<const PathLayout> layout,
                          VertexId num_vertices)
-    : layout_(std::move(layout))
+    : layout_(std::move(layout)), num_vertices_(num_vertices)
 {
     if (layout_ == nullptr)
         panic("PathStorage: null shared layout");
@@ -71,57 +71,6 @@ PathStorage::PathStorage(std::shared_ptr<const PathLayout> layout,
     loaded_val_.assign(layout_->numSlots(), 0.0);
     e_val_.assign(layout_->numPathEdges(), 0.0);
     v_val_.assign(num_vertices, 0.0);
-}
-
-PathView
-PathStorage::path(PathId p)
-{
-    const std::uint64_t lo = layout_->pathOffset(p);
-    const std::uint64_t hi = layout_->pathOffset(p + 1);
-    const std::uint64_t elo = lo - p; // p paths before -> p fewer edges
-    const std::uint64_t ehi = hi - p - 1;
-    const std::span<const VertexId> e_idx = layout_->eIdx();
-    const std::span<const EdgeId> edge_ids = layout_->edgeIds();
-    PathView view;
-    view.vertex_ids = e_idx.subspan(lo, hi - lo);
-    view.mirror_states = {s_val_.data() + lo, s_val_.data() + hi};
-    view.loaded_states = {loaded_val_.data() + lo, loaded_val_.data() + hi};
-    view.edge_states = {e_val_.data() + elo, e_val_.data() + ehi};
-    view.edge_ids = edge_ids.subspan(elo, ehi - elo);
-    return view;
-}
-
-void
-PathStorage::pullPath(PathId p)
-{
-    const std::uint64_t lo = layout_->pathOffset(p);
-    const std::uint64_t hi = layout_->pathOffset(p + 1);
-    for (std::uint64_t slot = lo; slot < hi; ++slot) {
-        // Path-sequential gather prefetch of the master array (E_idx
-        // streams linearly, V_val is hit through the vertex id).
-        if (slot + kPrefetchDistance < hi)
-            DIGRAPH_PREFETCH(
-                &v_val_[layout_->vertexAt(slot + kPrefetchDistance)]);
-        s_val_[slot] = v_val_[layout_->vertexAt(slot)];
-        loaded_val_[slot] = s_val_[slot];
-    }
-}
-
-void
-PathStorage::initialize(const std::vector<Value> &vertex_init,
-                        const std::vector<Value> &edge_init)
-{
-    if (vertex_init.size() != v_val_.size())
-        panic("PathStorage::initialize: vertex array size mismatch");
-    v_val_ = vertex_init;
-    const std::size_t slots = layout_->numSlots();
-    for (std::size_t slot = 0; slot < slots; ++slot) {
-        s_val_[slot] = v_val_[layout_->vertexAt(slot)];
-        loaded_val_[slot] = s_val_[slot];
-    }
-    const std::size_t edges = layout_->numPathEdges();
-    for (std::size_t i = 0; i < edges; ++i)
-        e_val_[i] = edge_init[layout_->edgeIdAt(i)];
 }
 
 std::size_t

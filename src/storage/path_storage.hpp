@@ -21,6 +21,11 @@
  * between concurrent jobs via shared_ptr; PathStorage adds the per-job
  * mutable value arrays (S_val, loaded snapshots, E_val, V_val) on top of
  * one layout.
+ *
+ * Every value array holds lanes() values per entry, striped entry-major
+ * (vertex v * K + lane, slot * K + lane, path edge * K + lane), so the K
+ * values of one vertex, slot or edge are contiguous. A scalar run is the
+ * K = 1 case; batched multi-source runs (DESIGN.md §17) use K > 1.
  */
 
 #pragma once
@@ -31,29 +36,12 @@
 #include <span>
 #include <vector>
 
+#include "common/prefetch.hpp"
 #include "common/types.hpp"
 #include "graph/digraph.hpp"
 #include "partition/path_set.hpp"
 
 namespace digraph::storage {
-
-/** Mutable view of one path's storage slices. */
-struct PathView
-{
-    /** Vertex ids along the path (length = edges + 1). */
-    std::span<const VertexId> vertex_ids;
-    /** Mirror states, parallel to vertex_ids. */
-    std::span<Value> mirror_states;
-    /** Mirror snapshot at partition-load time, parallel to vertex_ids. */
-    std::span<Value> loaded_states;
-    /** Per-edge algorithm values, parallel to the path's edges. */
-    std::span<Value> edge_states;
-    /** Original graph edge ids, parallel to the path's edges. */
-    std::span<const EdgeId> edge_ids;
-
-    /** Number of edges. */
-    std::size_t length() const { return edge_ids.size(); }
-};
 
 /**
  * Incremental dirty-slot worklist over a contiguous E_idx slot range
@@ -175,7 +163,8 @@ class PathLayout
 
 /**
  * The four arrays plus PTable: one shared immutable PathLayout plus this
- * instance's own mutable value arrays (per-job state).
+ * instance's own mutable value arrays (per-job state), lanes() values
+ * per entry.
  */
 class PathStorage
 {
@@ -194,37 +183,21 @@ class PathStorage
     /** The shared topology half. */
     const PathLayout &layout() const { return *layout_; }
 
-    /** The shared topology half, by owner (job-manager sharing). */
-    const std::shared_ptr<const PathLayout> &layoutPtr() const
-    {
-        return layout_;
-    }
-
     /** Number of paths. */
     PathId numPaths() const { return layout_->numPaths(); }
 
-    /** Number of vertices (V_val size). */
-    VertexId numVertices() const
-    {
-        return static_cast<VertexId>(v_val_.size());
-    }
+    /** Number of vertices (V_val entries). */
+    VertexId numVertices() const { return num_vertices_; }
 
-    /** Mutable view of path @p p. */
-    PathView path(PathId p);
+    /** Values K per entry of every value array (1 until initialize()
+     *  says otherwise). */
+    unsigned lanes() const { return lanes_; }
 
     /** PTable entry: E_idx offset of path @p p's first vertex. */
     std::uint64_t pathOffset(PathId p) const
     {
         return layout_->pathOffset(p);
     }
-
-    /** Master state of vertex @p v. */
-    Value &vVal(VertexId v) { return v_val_[v]; }
-    Value vVal(VertexId v) const { return v_val_[v]; }
-
-    /** Whole master-state array. */
-    std::span<Value> vVals() { return v_val_; }
-    std::span<const Value> vVals() const { return v_val_; }
 
     /** Raw E_idx array (tests / coalescing analysis). */
     std::span<const VertexId> eIdx() const { return layout_->eIdx(); }
@@ -235,31 +208,84 @@ class PathStorage
         return layout_->vertexAt(slot);
     }
 
-    /** Mirror state at slot @p slot (hot-loop accessor). */
-    Value &sVal(std::uint64_t slot) { return s_val_[slot]; }
-    Value sVal(std::uint64_t slot) const { return s_val_[slot]; }
-
-    /** Partition-load snapshot at slot @p slot (hot-loop accessor). */
-    Value &loadedVal(std::uint64_t slot) { return loaded_val_[slot]; }
-    Value loadedVal(std::uint64_t slot) const { return loaded_val_[slot]; }
-
-    /** Raw E_val array. */
-    std::span<const Value> eVal() const { return e_val_; }
-
-    /** Mutable E_val array (checkpoint capture/restore). E_val slices
-     *  align with path edges: path p's edges occupy indexes
-     *  [pathOffset(p) - p, pathOffset(p + 1) - p - 1). */
-    std::span<Value> eVals() { return e_val_; }
-
-    /** Original graph edge id stored at E_val index @p i. */
+    /** Original graph edge id stored at E_val index @p i. Path p's
+     *  edges occupy indexes [pathOffset(p) - p, pathOffset(p + 1) - p
+     *  - 1). */
     EdgeId edgeIdAt(std::uint64_t i) const
     {
         return layout_->edgeIdAt(i);
     }
 
-    /** Fill every S_val and loaded-state slot of path @p p from V_val
-     *  (the partition-load pull). */
-    void pullPath(PathId p);
+    /** Master state of vertex @p v in lane @p lane. */
+    Value &vVal(VertexId v, unsigned lane = 0)
+    {
+        return v_val_[static_cast<std::size_t>(v) * lanes_ + lane];
+    }
+    Value vVal(VertexId v, unsigned lane = 0) const
+    {
+        return v_val_[static_cast<std::size_t>(v) * lanes_ + lane];
+    }
+
+    /** Mirror state at slot @p slot in lane @p lane. */
+    Value &sVal(std::uint64_t slot, unsigned lane = 0)
+    {
+        return s_val_[slot * lanes_ + lane];
+    }
+    Value sVal(std::uint64_t slot, unsigned lane = 0) const
+    {
+        return s_val_[slot * lanes_ + lane];
+    }
+
+    /** Partition-load snapshot at slot @p slot in lane @p lane. */
+    Value &loadedVal(std::uint64_t slot, unsigned lane = 0)
+    {
+        return loaded_val_[slot * lanes_ + lane];
+    }
+    Value loadedVal(std::uint64_t slot, unsigned lane = 0) const
+    {
+        return loaded_val_[slot * lanes_ + lane];
+    }
+
+    /** Whole striped arrays (hot loops index them with a compile-time
+     *  K; checkpoints and reports read the K = 1 arrays). */
+    std::span<Value> vVals() { return v_val_; }
+    std::span<const Value> vVals() const { return v_val_; }
+    std::span<Value> sVals() { return s_val_; }
+    std::span<Value> loadedVals() { return loaded_val_; }
+    std::span<Value> eVals() { return e_val_; }
+    std::span<const Value> eVals() const { return e_val_; }
+
+    /**
+     * Fill every S_val and loaded-state stripe of path @p p from V_val
+     * (the partition-load pull).
+     * @tparam LanesCT lanes() known at compile time (0 = read it at run
+     *         time), so the 1-lane pull is a plain scalar copy.
+     */
+    template <unsigned LanesCT = 0>
+    void
+    pullPath(PathId p)
+    {
+        const std::size_t k = LanesCT ? LanesCT : lanes_;
+        const std::uint64_t lo = layout_->pathOffset(p);
+        const std::uint64_t hi = layout_->pathOffset(p + 1);
+        for (std::uint64_t slot = lo; slot < hi; ++slot) {
+            // Path-sequential gather prefetch of the master array (E_idx
+            // streams linearly, V_val is hit through the vertex id).
+            if (slot + kPrefetchDistance < hi) {
+                DIGRAPH_PREFETCH(&v_val_[static_cast<std::size_t>(
+                                             layout_->vertexAt(
+                                                 slot + kPrefetchDistance)) *
+                                         k]);
+            }
+            const Value *master =
+                &v_val_[static_cast<std::size_t>(layout_->vertexAt(slot)) *
+                        k];
+            for (std::size_t l = 0; l < k; ++l) {
+                s_val_[slot * k + l] = master[l];
+                loaded_val_[slot * k + l] = master[l];
+            }
+        }
+    }
 
     /** Bytes a GPU must move to load path @p p. */
     std::size_t pathBytes(PathId p) const
@@ -273,11 +299,45 @@ class PathStorage
         return layout_->rangeBytes(first, last);
     }
 
-    /** Initialize V_val, S_val snapshots and E_val.
-     *  @param vertex_init V_val per vertex; @param edge_init E_val per
-     *  original edge id. */
-    void initialize(const std::vector<Value> &vertex_init,
-                    const std::vector<Value> &edge_init);
+    /**
+     * Size every value array for @p lanes values per entry and fill it:
+     * V_val from @p vertex_init(v, lane), S_val and the loaded snapshots
+     * from V_val, E_val from @p edge_init(e, lane) per original edge id
+     * e. V_val is complete before the first @p edge_init call, so edge
+     * caches may be derived from it.
+     */
+    template <class VertexInit, class EdgeInit>
+    void
+    initialize(unsigned lanes, VertexInit &&vertex_init,
+               EdgeInit &&edge_init)
+    {
+        lanes_ = lanes;
+        const std::size_t k = lanes;
+        v_val_.resize(static_cast<std::size_t>(num_vertices_) * k);
+        for (VertexId v = 0; v < num_vertices_; ++v) {
+            for (unsigned l = 0; l < lanes; ++l)
+                v_val_[v * k + l] = vertex_init(v, l);
+        }
+        const std::size_t slots = layout_->numSlots();
+        s_val_.resize(slots * k);
+        loaded_val_.resize(slots * k);
+        for (std::size_t slot = 0; slot < slots; ++slot) {
+            const Value *master =
+                &v_val_[static_cast<std::size_t>(layout_->vertexAt(slot)) *
+                        k];
+            for (std::size_t l = 0; l < k; ++l) {
+                s_val_[slot * k + l] = master[l];
+                loaded_val_[slot * k + l] = master[l];
+            }
+        }
+        const std::size_t edges = layout_->numPathEdges();
+        e_val_.resize(edges * k);
+        for (std::size_t i = 0; i < edges; ++i) {
+            const EdgeId e = layout_->edgeIdAt(i);
+            for (unsigned l = 0; l < lanes; ++l)
+                e_val_[i * k + l] = edge_init(e, l);
+        }
+    }
 
     /** Host bytes of this instance's private value arrays (excludes the
      *  shared layout). */
@@ -286,6 +346,8 @@ class PathStorage
   private:
     std::shared_ptr<const PathLayout> layout_ =
         std::make_shared<PathLayout>();
+    VertexId num_vertices_ = 0;
+    unsigned lanes_ = 1;
     std::vector<Value> s_val_;
     std::vector<Value> loaded_val_;
     std::vector<Value> e_val_;

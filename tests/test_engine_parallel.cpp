@@ -186,7 +186,7 @@ TEST(ActivationBookkeeping, ConsistentOnEightLanePpr)
     const auto report = eng.run(ppr);
     EXPECT_EQ(report.value_lanes, 8u);
     EXPECT_TRUE(eng.activationBookkeepingConsistent());
-    const auto inv = eng.postRunLaneInvariants(ppr);
+    const auto inv = eng.postRunInvariants(ppr);
     EXPECT_TRUE(inv.ok()) << inv.detail;
 }
 

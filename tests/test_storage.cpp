@@ -84,17 +84,29 @@ TEST(PathStorage, Figure4Layout)
     EXPECT_EQ(storage.numPaths(), 4u);
 }
 
-TEST(PathStorage, ViewsSliceCorrectly)
+/** Initialize @p storage at K = 1 from per-vertex / per-edge vectors. */
+void
+initializeScalar(PathStorage &storage, const std::vector<Value> &vinit,
+                 const std::vector<Value> &einit)
+{
+    storage.initialize(
+        1, [&](VertexId v, unsigned) { return vinit[v]; },
+        [&](EdgeId e, unsigned) { return einit[e]; });
+}
+
+TEST(PathStorage, SlotRangesSliceCorrectly)
 {
     const auto g = figure3Graph();
     PathStorage storage(figure3Paths(g), g);
-    auto view = storage.path(1); // p2 = 3 -> 6 -> 7 -> 8 -> 9
-    ASSERT_EQ(view.length(), 4u);
-    EXPECT_EQ(view.vertex_ids[0], 3u);
-    EXPECT_EQ(view.vertex_ids[4], 9u);
-    ASSERT_EQ(view.edge_ids.size(), 4u);
-    EXPECT_EQ(g.edgeSource(view.edge_ids[0]), 3u);
-    EXPECT_EQ(g.edgeTarget(view.edge_ids[0]), 6u);
+    // p2 = 3 -> 6 -> 7 -> 8 -> 9 occupies slots [6, 11) and, one edge
+    // fewer per earlier path, E_val indexes [5, 9).
+    ASSERT_EQ(storage.pathOffset(2) - storage.pathOffset(1), 5u);
+    EXPECT_EQ(storage.vertexAt(6), 3u);
+    EXPECT_EQ(storage.vertexAt(10), 9u);
+    EXPECT_EQ(g.edgeSource(storage.edgeIdAt(5)), 3u);
+    EXPECT_EQ(g.edgeTarget(storage.edgeIdAt(5)), 6u);
+    EXPECT_EQ(g.edgeSource(storage.edgeIdAt(8)), 8u);
+    EXPECT_EQ(g.edgeTarget(storage.edgeIdAt(8)), 9u);
 }
 
 TEST(PathStorage, InitializeAndPull)
@@ -105,36 +117,71 @@ TEST(PathStorage, InitializeAndPull)
     for (VertexId v = 0; v < g.numVertices(); ++v)
         vinit[v] = 100.0 + v;
     std::vector<Value> einit(g.numEdges(), -1.0);
-    storage.initialize(vinit, einit);
+    initializeScalar(storage, vinit, einit);
 
-    auto view = storage.path(0);
-    EXPECT_EQ(view.mirror_states[0], 100.0);
-    EXPECT_EQ(view.mirror_states[5], 105.0);
-    EXPECT_EQ(view.edge_states[0], -1.0);
+    // p1 = 0 -> 1 -> 2 -> 3 -> 4 -> 5 occupies slots [0, 6).
+    EXPECT_EQ(storage.sVal(0), 100.0);
+    EXPECT_EQ(storage.sVal(5), 105.0);
+    EXPECT_EQ(storage.eVals()[0], -1.0);
 
     // Mutate a master and pull the path: mirror and snapshot refresh.
     storage.vVal(1) = 999.0;
     storage.pullPath(0);
-    view = storage.path(0);
-    EXPECT_EQ(view.mirror_states[1], 999.0);
-    EXPECT_EQ(view.loaded_states[1], 999.0);
+    EXPECT_EQ(storage.sVal(1), 999.0);
+    EXPECT_EQ(storage.loadedVal(1), 999.0);
 }
 
 TEST(PathStorage, ReplicasHaveIndependentMirrors)
 {
     const auto g = figure3Graph();
     PathStorage storage(figure3Paths(g), g);
-    std::vector<Value> vinit(g.numVertices(), 0.0);
-    std::vector<Value> einit(g.numEdges(), 0.0);
-    storage.initialize(vinit, einit);
+    initializeScalar(storage, std::vector<Value>(g.numVertices(), 0.0),
+                     std::vector<Value>(g.numEdges(), 0.0));
 
     // Vertex 3 occurs on p1 (slot 3) and p2 (slot 6 = head).
-    auto p1 = storage.path(0);
-    p1.mirror_states[3] = 7.0;
-    auto p2 = storage.path(1);
-    EXPECT_EQ(p2.mirror_states[0], 0.0)
+    ASSERT_EQ(storage.vertexAt(3), 3u);
+    ASSERT_EQ(storage.vertexAt(6), 3u);
+    storage.sVal(3) = 7.0;
+    EXPECT_EQ(storage.sVal(6), 0.0)
         << "replica mirrors must be independent";
     EXPECT_EQ(storage.vVal(3), 0.0);
+}
+
+TEST(PathStorage, LaneStripesAreEntryMajor)
+{
+    // K values per entry, entry * K + lane: every mirror lane starts at
+    // its master lane, and a pull refreshes one stripe only.
+    const auto g = figure3Graph();
+    PathStorage storage(figure3Paths(g), g);
+    constexpr unsigned kLanes = 3;
+    storage.initialize(
+        kLanes, [](VertexId v, unsigned l) { return 10.0 * v + l; },
+        [](EdgeId e, unsigned l) { return -(10.0 * e + l); });
+    ASSERT_EQ(storage.lanes(), kLanes);
+    EXPECT_EQ(storage.vVals().size(), g.numVertices() * kLanes);
+    EXPECT_EQ(storage.sVals().size(), storage.eIdx().size() * kLanes);
+    EXPECT_EQ(storage.valueBytes(),
+              kLanes *
+                  (g.numVertices() + 2 * storage.eIdx().size() +
+                   storage.layout().numPathEdges()) *
+                  sizeof(Value));
+    for (std::uint64_t s = 0; s < storage.eIdx().size(); ++s) {
+        for (unsigned l = 0; l < kLanes; ++l) {
+            EXPECT_EQ(storage.sVal(s, l), 10.0 * storage.vertexAt(s) + l);
+            EXPECT_EQ(storage.sVals()[s * kLanes + l], storage.sVal(s, l));
+        }
+    }
+    for (std::uint64_t i = 0; i < storage.layout().numPathEdges(); ++i) {
+        for (unsigned l = 0; l < kLanes; ++l) {
+            EXPECT_EQ(storage.eVals()[i * kLanes + l],
+                      -(10.0 * storage.edgeIdAt(i) + l));
+        }
+    }
+    storage.vVal(1, 2) = 999.0;
+    storage.pullPath(0);
+    EXPECT_EQ(storage.sVal(1, 2), 999.0);
+    EXPECT_EQ(storage.loadedVal(1, 2), 999.0);
+    EXPECT_EQ(storage.sVal(1, 1), 11.0);
 }
 
 TEST(PathStorage, ByteAccountingMatchesLayout)
@@ -150,13 +197,12 @@ TEST(PathStorage, ByteAccountingMatchesLayout)
               storage.pathBytes(0) + storage.pathBytes(1));
 }
 
-TEST(PathStorage, SlotAccessorsMatchViews)
+TEST(PathStorage, SlotAccessorsMatchLayout)
 {
     const auto g = figure3Graph();
     PathStorage storage(figure3Paths(g), g);
-    std::vector<Value> vinit(g.numVertices(), 1.5);
-    std::vector<Value> einit(g.numEdges(), 0.0);
-    storage.initialize(vinit, einit);
+    initializeScalar(storage, std::vector<Value>(g.numVertices(), 1.5),
+                     std::vector<Value>(g.numEdges(), 0.0));
     for (std::uint64_t s = 0; s < storage.eIdx().size(); ++s) {
         EXPECT_EQ(storage.vertexAt(s), storage.eIdx()[s]);
         EXPECT_EQ(storage.sVal(s), 1.5);

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/factory.hpp"
+#include "algorithms/multi_source.hpp"
 #include "algorithms/pagerank.hpp"
 #include "engine/digraph_engine.hpp"
 #include "engine/wave_kernel.hpp"
@@ -233,10 +234,16 @@ TEST(WaveKernelsDeathTest, UnregisteredAlgorithmsAreRejected)
         engine::resolveWaveKernel(unregistered, opts, false).has_value());
     EXPECT_FALSE(
         engine::resolveWaveKernel(opted_out, opts, false).has_value());
-    // A scalar class matches no lane row.
+    // Rows are picked by class: a scalar class runs its scalar row and
+    // a lane class with the same tag its lane row.
     const algorithms::PageRank scalar;
-    EXPECT_FALSE(
-        engine::resolveWaveKernel(scalar, opts, false, 4).has_value());
+    const algorithms::Ppr lanes({0, 1, 2, 3});
+    const auto scalar_row = engine::resolveWaveKernel(scalar, opts, false);
+    const auto lane_row = engine::resolveWaveKernel(lanes, opts, false);
+    ASSERT_TRUE(scalar_row.has_value());
+    ASSERT_TRUE(lane_row.has_value());
+    EXPECT_EQ(scalar_row->name, "pagerank");
+    EXPECT_EQ(lane_row->name, "pagerank:lanes");
 
     EXPECT_EXIT((void)runCounting(g, unregistered),
                 ::testing::ExitedWithCode(1),

@@ -77,7 +77,9 @@
  * per-batch rebuild baseline.
  *
  * Systems: digraph (default), digraph-t, digraph-w, gunrock, groute,
- *          sequential.
+ *          sequential. The baselines (gunrock, groute, sequential) run
+ *          one --algo job; they reject --jobs, --serve, --lanes,
+ *          --evolve-batches, --verify, --store and --faults.
  * Formats for --graph: .mtx, .graph (METIS), .gr (DIMACS), .bin
  * (native), else plain edge list.
  */
@@ -92,6 +94,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "algorithms/factory.hpp"
 #include "algorithms/kcore.hpp"
@@ -643,6 +646,25 @@ main(int argc, char **argv)
         fault_plan = gpusim::FaultPlan::parse(opts.faults, err);
         if (!err.empty())
             fatal("digraph_cli: --faults: ", err);
+    }
+    if (opts.system == "gunrock" || opts.system == "groute" ||
+        opts.system == "sequential") {
+        // A baseline system runs the one --algo job on its own engine;
+        // each of these flags drives digraph-only machinery.
+        const std::pair<bool, const char *> digraph_only[] = {
+            {!opts.jobs.empty(), "--jobs"},
+            {!opts.serve_script.empty(), "--serve"},
+            {!opts.lanes.empty(), "--lanes"},
+            {opts.evolve_batches > 0, "--evolve-batches"},
+            {opts.verify, "--verify"},
+        };
+        for (const auto &[given, flag] : digraph_only) {
+            if (given) {
+                fatal("digraph_cli: ", flag,
+                      " requires a digraph system (the '", opts.system,
+                      "' baseline runs a single --algo job)");
+            }
+        }
     }
 
     const graph::DirectedGraph g = loadInput(opts);
