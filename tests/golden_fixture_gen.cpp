@@ -20,6 +20,14 @@
  * whose stale queues were sorted and deduplicated at every dispatch,
  * before stale entries were deduplicated when enqueued.
  *
+ * The hub_*_trace fixtures hold the full trace event sequence of the
+ * same two hub runs: one line per event with its type, wave, partition,
+ * the bit patterns of sim_begin and sim_dur, arg0 and arg1 (the host
+ * wall stamps are left out). They were recorded by the engine that
+ * sorted each local round's path worklist and stable-sorted the active
+ * paths by Pri(p), before active paths were collected by a scan and the
+ * selected paths ran in id order.
+ *
  * The longdist_* fixtures pin the wave dispatch order. A wave runs in
  * the concatenated order of its greedy vertex-disjoint chunks
  * (Dispatcher::waveOrder), which differs from the batch order only when
@@ -50,6 +58,7 @@
 #include "common/logging.hpp"
 #include "engine/digraph_engine.hpp"
 #include "graph/generators.hpp"
+#include "metrics/trace.hpp"
 
 #include "test_util.hpp"
 
@@ -124,6 +133,30 @@ writeFixture(const std::string &dir, const std::string &prefix,
     std::fclose(f);
     std::printf("wrote %s (waves=%" PRIu64 ", edges=%" PRIu64 ")\n",
                 path.c_str(), report.waves, report.edge_processings);
+}
+
+/** Write the trace event sequence of one run as @p name under @p dir. */
+void
+writeTraceFixture(const std::string &dir, const std::string &name,
+                  const std::string &header,
+                  const std::vector<metrics::TraceEvent> &events)
+{
+    const std::string path = dir + "/" + name;
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        fatal("golden_fixture_gen: cannot open ", path);
+    std::fprintf(f, "# golden fixture: %s\n", header.c_str());
+    std::fprintf(f, "# type wave partition sim_begin sim_dur arg0 arg1\n");
+    std::fprintf(f, "events %zu\n", events.size());
+    for (const metrics::TraceEvent &e : events) {
+        std::fprintf(f,
+                     "%s %" PRIu64 " %" PRIu64 " %016" PRIx64
+                     " %016" PRIx64 " %" PRIu64 " %" PRIu64 "\n",
+                     metrics::traceEventName(e.type), e.wave, e.partition,
+                     bits(e.sim_begin), bits(e.sim_dur), e.arg0, e.arg1);
+    }
+    std::fclose(f);
+    std::printf("wrote %s (events=%zu)\n", path.c_str(), events.size());
 }
 
 void
@@ -201,6 +234,18 @@ main(int argc, char **argv)
                      "twitter stand-in at scale 0.02, sorted stale queues",
                      name, engine::ExecutionMode::PathAsync,
                      eng.run(*algo));
+    }
+    for (const std::string name : {"pagerank", "sssp"}) {
+        metrics::TraceSink sink;
+        engine::EngineOptions opts;
+        opts.platform = smallPlatform();
+        opts.trace = &sink;
+        engine::DiGraphEngine eng(hub, opts);
+        eng.run(*algorithms::makeAlgorithm(name, hub));
+        writeTraceFixture(dir, "hub_" + name + "_trace.txt",
+                          "twitter stand-in at scale 0.02, traced, "
+                          "Pri(p)-sorted path worklists",
+                          sink.events());
     }
 
     graph::DirectedGraph longdist;

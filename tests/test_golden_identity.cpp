@@ -14,6 +14,8 @@
  * The hub_* fixtures replay pagerank and sssp on the twitter stand-in at
  * scale 0.02, whose hubs are mirrored by more than 32 partitions; both
  * are held bit for bit (see golden_fixture_gen.cpp for their origin).
+ * The hub_*_trace fixtures hold the same runs' full trace event
+ * sequences, every field but the host wall stamp held exactly.
  * The longdist_* fixtures pin the wave dispatch order of every factory
  * algorithm on the longdist test graph, bit for bit. The lanes_*
  * fixtures pin batched ppr and msbfs runs at K = 8 and K = 12, every
@@ -35,6 +37,7 @@
 #include "algorithms/multi_source.hpp"
 #include "engine/digraph_engine.hpp"
 #include "graph/generators.hpp"
+#include "metrics/trace.hpp"
 #include "test_util.hpp"
 
 namespace digraph {
@@ -274,6 +277,56 @@ TEST(GoldenIdentity, HubGraphBitwise)
         const auto report = eng.run(*algorithms::makeAlgorithm(algo, g));
         expectBitwise(fx, report, "hub " + algo);
         EXPECT_TRUE(eng.activationBookkeepingConsistent()) << "hub " << algo;
+    }
+}
+
+TEST(GoldenIdentity, HubTraceEventsBitwise)
+{
+    // Every trace event of the traced hub runs: path_schedule (the
+    // active-path count before the warp-scheduler cap and the first
+    // highest-Pri path), mirror_push, dispatch, merge_barrier, steal and
+    // the wave events, with simulated timestamps held bit for bit.
+    const auto g = graph::makeDataset(graph::Dataset::twitter, 0.02);
+    for (const std::string algo : {"pagerank", "sssp"}) {
+        const std::string path = std::string(DIGRAPH_FIXTURE_DIR) +
+                                 "/hub_" + algo + "_trace.txt";
+        std::ifstream in(path);
+        ASSERT_TRUE(in.good()) << "missing fixture " << path;
+        std::vector<std::string> want;
+        std::size_t expected = 0;
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.empty() || line[0] == '#')
+                continue;
+            if (line.rfind("events ", 0) == 0)
+                expected = std::stoull(line.substr(7));
+            else
+                want.push_back(line);
+        }
+        ASSERT_EQ(want.size(), expected) << path;
+
+        metrics::TraceSink sink;
+        engine::EngineOptions opts;
+        opts.platform = smallPlatform();
+        opts.trace = &sink;
+        engine::DiGraphEngine eng(g, opts);
+        eng.run(*algorithms::makeAlgorithm(algo, g));
+        const auto events = sink.events();
+        ASSERT_EQ(events.size(), want.size()) << "hub " << algo;
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            const metrics::TraceEvent &e = events[i];
+            char got[256];
+            std::snprintf(got, sizeof(got),
+                          "%s %llu %llu %016llx %016llx %llu %llu",
+                          metrics::traceEventName(e.type),
+                          static_cast<unsigned long long>(e.wave),
+                          static_cast<unsigned long long>(e.partition),
+                          static_cast<unsigned long long>(bits(e.sim_begin)),
+                          static_cast<unsigned long long>(bits(e.sim_dur)),
+                          static_cast<unsigned long long>(e.arg0),
+                          static_cast<unsigned long long>(e.arg1));
+            ASSERT_EQ(got, want[i]) << "hub " << algo << ": event " << i;
+        }
     }
 }
 
