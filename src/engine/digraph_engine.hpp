@@ -78,7 +78,8 @@ struct DispatchOutcome
     /** Per local round, per work-stealing group: kernel cycles. */
     std::vector<std::vector<double>> round_group_cycles;
     /** Masters whose merge reported an activation-worthy change,
-     *  accumulated across the local rounds (sorted/deduplicated). */
+     *  accumulated across the local rounds (deduplicated, in
+     *  first-change order; no consumer depends on the order). */
     std::vector<VertexId> changed;
     /** K > 1: per changed vertex, the mask of lanes whose master
      *  changed (parallel to changed). Empty at K = 1. */
@@ -196,8 +197,9 @@ class DiGraphEngine
     /**
      * Validate the incremental activation bookkeeping (tests): per-path
      * active-slot counters must equal a full recount of slot flags, and
-     * every path with a nonzero counter must sit in its partition's
-     * worklist. O(total slots) — debug/tests only.
+     * the stale queues must match their pending flags
+     * (ValuePlane::bookkeepingConsistent). O(total slots) — debug/tests
+     * only.
      */
     bool activationBookkeepingConsistent() const
     {

@@ -268,11 +268,6 @@ DiGraphEngine::recoverFromDeviceLoss(DeviceId dead, std::uint64_t wave,
               static_cast<std::uint8_t>(0));
     std::fill(plane_.path_active_count.begin(),
               plane_.path_active_count.end(), 0u);
-    std::fill(plane_.path_in_worklist.begin(),
-              plane_.path_in_worklist.end(),
-              static_cast<std::uint8_t>(0));
-    for (auto &wl : plane_.partition_worklist)
-        wl.clear();
     // The pending flags go with their queues (lane runs exclude fault
     // tolerance, so there is no lane mask to clear).
     for (auto &queue : plane_.stale_queue)

@@ -2,7 +2,7 @@
  * @file
  * Inter-job scheduling policy — level 1 of the two-level scheduler
  * (DESIGN.md §15). Level 2 is the engine's intra-job path scheduling
- * (Dispatcher::orderByPriority, Section 3.2.3 of the paper); this
+ * (Dispatcher::selectByPriority, Section 3.2.3 of the paper); this
  * level decides, at every scheduling event of a GraphService session,
  * WHICH jobs occupy the session's execution slots. Each granted job
  * runs on its own host thread.

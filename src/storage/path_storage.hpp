@@ -76,7 +76,7 @@ class SlotDirtySet
     }
 
     /** Slots marked since the last reset, in marking order. */
-    std::vector<std::uint64_t> &slots() { return slots_; }
+    const std::vector<std::uint64_t> &slots() const { return slots_; }
 
     /** Number of marked slots. */
     std::size_t size() const { return slots_.size(); }

@@ -3,20 +3,28 @@
  * The wave engine runs each wave's dispatches one at a time in
  * Dispatcher::waveOrder(), so a run is a function of its input alone:
  * fresh engines, reruns and traced runs agree bit for bit, down to the
- * trace's event sequence. The incremental activation bookkeeping
- * (per-path counters, worklists, stale queues and their pending flags)
- * must stay consistent across dispatch patterns, lane runs and
- * device-loss recovery.
+ * trace's event sequence. A local round's Pri(p) selection keeps the
+ * paths the former stable sort kept. The incremental activation
+ * bookkeeping (per-path counters, stale queues of mirror entries and
+ * their pending flags) must stay consistent across dispatch patterns,
+ * lane runs and device-loss recovery, and the checker must catch a
+ * misplaced queue entry.
  */
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algorithms/factory.hpp"
 #include "algorithms/multi_source.hpp"
+#include "common/rng.hpp"
 #include "engine/digraph_engine.hpp"
 #include "engine/dispatcher.hpp"
+#include "engine/value_plane.hpp"
+#include "graph/builder.hpp"
 #include "gpusim/fault.hpp"
 #include "metrics/trace.hpp"
 #include "test_util.hpp"
@@ -71,6 +79,90 @@ TEST(WaveOrder, PermutesTheBatchAndKeepsItsHead)
         EXPECT_EQ(order, batch) << ng.name;
     }
     EXPECT_TRUE(reordered);
+}
+
+/** Directed circulant graph v -> v+1..v+3 (mod @p n): every vertex has
+ *  out-degree 3 and the graph is one SCC, so its paths share their
+ *  average degree and layer, and equal counts tie on Pri(p). */
+graph::DirectedGraph
+circulantGraph(VertexId n)
+{
+    graph::GraphBuilder b(n);
+    for (VertexId v = 0; v < n; ++v) {
+        for (VertexId d = 1; d <= 3; ++d)
+            b.addEdge(v, (v + d) % n);
+    }
+    return b.build();
+}
+
+TEST(PathSelection, KeepsTheStableSortPrefix)
+{
+    // When more paths are active than the warp scheduler holds, Pri(p)
+    // selects which run. The selection must keep exactly the paths that
+    // a stable sort by descending Pri(p) followed by truncation keeps
+    // (the engine's former schedule), in ascending id, with ties broken
+    // toward the lower id. Active sets are drawn with many ties: counts
+    // come from a small range or from the path's (average degree,
+    // layer) class, so equal counts meet equal avg_degree and layer.
+    graph::GeneratorConfig c;
+    c.num_vertices = 400;
+    c.num_edges = 2400;
+    c.seed = 77;
+    std::size_t cut_in_tie = 0;
+    for (const auto &g : {graph::generate(c), circulantGraph(2000)}) {
+        const engine::DiGraphEngine eng(g);
+        const auto &pre = eng.preprocessed();
+        const auto &sched = eng.substrate()->dispatcher;
+        const PathId np = pre.paths.numPaths();
+        ASSERT_GT(np, 160u);
+        SplitMix64 rng(np);
+        for (int trial = 0; trial < 60; ++trial) {
+            const bool by_class = trial % 2 == 1;
+            const double density = 0.2 + 0.8 * rng.nextDouble();
+            std::vector<std::uint32_t> count(np, 0);
+            std::vector<PathId> active;
+            for (PathId q = 0; q < np; ++q) {
+                if (!rng.nextBool(density))
+                    continue;
+                active.push_back(q);
+                const std::uint64_t cls =
+                    std::bit_cast<std::uint64_t>(pre.path_avg_degree[q]) ^
+                    (std::uint64_t{pre.path_layer[q]} << 7) ^
+                    static_cast<std::uint64_t>(trial);
+                count[q] = 1 + static_cast<std::uint32_t>(
+                                   (by_class ? cls : rng.next()) % 3);
+            }
+            if (active.empty())
+                continue;
+            const auto pri = [&](PathId q) {
+                return sched.priority(q, count[q]);
+            };
+            std::vector<PathId> ranked = active;
+            std::stable_sort(ranked.begin(), ranked.end(),
+                             [&](PathId a, PathId b) {
+                                 return pri(a) > pri(b);
+                             });
+            for (const std::size_t cap :
+                 {std::size_t{1}, std::size_t{32}, std::size_t{128},
+                  active.size(), active.size() + 5}) {
+                std::vector<PathId> want(
+                    ranked.begin(),
+                    ranked.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(cap, ranked.size())));
+                std::sort(want.begin(), want.end());
+                if (cap < ranked.size() &&
+                    pri(ranked[cap - 1]) == pri(ranked[cap]))
+                    ++cut_in_tie;
+                std::vector<PathId> got = active;
+                sched.selectByPriority(got, count, cap);
+                ASSERT_EQ(got, want) << "trial " << trial << " cap " << cap;
+                EXPECT_EQ(sched.topPriorityPath(got, count), ranked.front())
+                    << "trial " << trial << " cap " << cap;
+            }
+        }
+    }
+    // The tie-break decided the cut in many draws.
+    EXPECT_GT(cut_in_tie, 50u);
 }
 
 TEST(SerialWaves, FreshEnginesAgreeOnEveryTestGraph)
@@ -216,6 +308,44 @@ TEST(ActivationBookkeeping, ConsistentAfterDeviceLossRecovery)
                                algo->resultTolerance(),
                                std::string("device-loss/") + algo_name);
     }
+}
+
+TEST(ActivationBookkeeping, RejectsAnotherPartitionsQueuedEntry)
+{
+    // A stale queue holds only its own partition's mirror entries, each
+    // once, each pending, each a valid entry id.
+    const auto g = graph::makeDataset(graph::Dataset::dblp, 0.2);
+    const engine::DiGraphEngine eng(g);
+    const auto &sub = *eng.substrate();
+    ASSERT_GT(sub.pre.numPartitions(), 1u);
+    engine::ValuePlane plane;
+    plane.bindLayout(sub.layout, g.numVertices());
+    plane.attach(&sub.sync);
+    plane.initializeState(g, *algorithms::makeAlgorithm("sssp", g),
+                          nullptr);
+    plane.beginRun(sub.pre);
+    ASSERT_TRUE(plane.bookkeepingConsistent(sub.pre));
+
+    const engine::MirrorEntryId k = 0;
+    const PartitionId owner = sub.sync.entryPartition(k);
+    const PartitionId other = owner == 0 ? 1 : 0;
+    plane.stale_pending[k] = 1;
+    plane.stale_queue[owner].push_back(k);
+    EXPECT_TRUE(plane.bookkeepingConsistent(sub.pre));
+
+    plane.stale_queue[owner].push_back(k); // queued twice
+    EXPECT_FALSE(plane.bookkeepingConsistent(sub.pre));
+    plane.stale_queue[owner].pop_back();
+
+    plane.stale_queue[owner].clear(); // another partition's entry
+    plane.stale_queue[other].push_back(k);
+    EXPECT_FALSE(plane.bookkeepingConsistent(sub.pre));
+    plane.stale_queue[other].clear();
+
+    plane.stale_pending[k] = 0; // an id past the last entry
+    plane.stale_queue[owner].push_back(static_cast<engine::MirrorEntryId>(
+        sub.sync.numMirrorEntries()));
+    EXPECT_FALSE(plane.bookkeepingConsistent(sub.pre));
 }
 
 } // namespace
