@@ -16,8 +16,11 @@
 # the lanes_* ones included, through the strided value indexing.
 # test_substrate_epochs and the live-ingest smoke add the epoch chain:
 # graphs and substrates freed on retire while pinned queries still read
-# older snapshots. test_trace runs the traced wave body, whose Pri(p)
-# path selection reports the first highest-priority path.
+# older snapshots. test_evolving_incremental runs warm starts on
+# appended epoch substrates, whose replica indexes (per-partition mirror
+# entry lists, the slot -> entry map) every substrate build makes anew.
+# test_trace runs the traced wave body, whose Pri(p) path selection
+# reports the first highest-priority path.
 #
 # Usage (from the repo root):
 #     ci/asan.sh               # configure + build + run
@@ -43,11 +46,12 @@ cmake --build build-asan -j \
     test_engine_parallel test_engine_features test_io \
     test_graph_service test_substrate_epochs \
     test_wave_kernels test_multisource test_factory_validation \
-    test_golden_identity test_trace concurrent_jobs live_ingest
+    test_golden_identity test_trace test_evolving_incremental \
+    concurrent_jobs live_ingest
 
 if [ "$#" -gt 0 ]; then
     ctest --test-dir build-asan --output-on-failure "$@"
 else
     ctest --test-dir build-asan --output-on-failure \
-        -R 'test_(fault_tolerance|robustness|engine_parallel|engine_features|io|graph_service|substrate_epochs|wave_kernels|multisource|factory_validation|golden_identity|trace)$|bench_jobs_smoke|bench_live_smoke'
+        -R 'test_(fault_tolerance|robustness|engine_parallel|engine_features|io|graph_service|substrate_epochs|wave_kernels|multisource|factory_validation|golden_identity|trace|evolving_incremental)$|bench_jobs_smoke|bench_live_smoke'
 fi

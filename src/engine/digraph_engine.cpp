@@ -207,7 +207,7 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
     // the DAG sketch, rearranged by Dispatcher::waveOrder() into greedy
     // vertex-disjoint chunks. Each dispatch runs its local rounds
     // (compute, merging pushes straight into the masters) and then its
-    // barrier (replayDispatch: version bumps, activation fan-out and the
+    // barrier (replayDispatch: version bumps, consumer wake and the
     // simulated platform costs) before the next dispatch starts, so
     // later dispatches of the wave see everything earlier ones wrote.
     std::vector<std::uint64_t> wave_stamp(nparts, 0);

@@ -257,23 +257,18 @@ DiGraphEngine::recoverFromDeviceLoss(DeviceId dead, std::uint64_t wave,
     // Clear the volatile run state the rollback invalidated. Mirrors
     // need no restore: every path is re-activated below, so the next
     // dispatch of its partition re-pulls it from the restored masters
-    // before touching it.
+    // before touching it. Master and entry versions restart together,
+    // so no mirror entry is stale (lane runs exclude fault tolerance,
+    // so there are no lane versions).
     std::fill(plane_.master_version.begin(), plane_.master_version.end(),
               0u);
-    std::fill(plane_.slot_seen_version.begin(),
-              plane_.slot_seen_version.end(), 0u);
+    std::fill(plane_.entry_seen.begin(), plane_.entry_seen.end(), 0u);
     std::fill(transport_.master_writer.begin(),
               transport_.master_writer.end(), kInvalidVertex);
     std::fill(plane_.slot_active.begin(), plane_.slot_active.end(),
               static_cast<std::uint8_t>(0));
     std::fill(plane_.path_active_count.begin(),
               plane_.path_active_count.end(), 0u);
-    // The pending flags go with their queues (lane runs exclude fault
-    // tolerance, so there is no lane mask to clear).
-    for (auto &queue : plane_.stale_queue)
-        queue.clear();
-    std::fill(plane_.stale_pending.begin(), plane_.stale_pending.end(),
-              static_cast<std::uint8_t>(0));
     for (auto &dirty : plane_.partition_dirty)
         dirty.reset();
     std::fill(plane_.partition_active.begin(),
@@ -329,7 +324,7 @@ DiGraphEngine::postRunInvariants(const algorithms::Algorithm &algo,
     // to re-activate it, in any lane (a batched run solves K problems,
     // not one). Accumulative algorithms legitimately carry sub-epsilon
     // drift per edge (merges below the activation threshold do mutate
-    // the master without fan-out), hence the slack multiple.
+    // the master without a version bump), hence the slack multiple.
     for (PathId q = 0; q < storage.numPaths(); ++q) {
         const std::uint64_t lo = storage.pathOffset(q);
         const std::uint64_t hi = storage.pathOffset(q + 1);

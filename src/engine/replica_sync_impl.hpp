@@ -1,12 +1,13 @@
 /**
  * @file
  * Out-of-line definitions of ReplicaSync's wave-body templates
- * (convertStaleQueue, pushDirtyMirrorsT, refreshLocalMirrorsT). None
- * sorts: the stale queue holds mirror entries with their slot slices,
- * the dirty slots arrive in ascending order and changed masters are
- * deduplicated by ValuePlane's per-vertex stamps. Split from
- * replica_sync.hpp because they need the complete ValuePlane type,
- * which itself includes replica_sync.hpp.
+ * (absorbStaleMirrors, pushDirtyMirrorsT, refreshLocalMirrorsT). None
+ * sorts or searches: a dispatch walks its own mirror entries, the dirty
+ * slots arrive in ascending order, each slot knows its mirror entry,
+ * each entry its slot slice, and changed masters are deduplicated by
+ * ValuePlane's per-vertex stamps. Split from replica_sync.hpp because
+ * they need the complete ValuePlane type, which itself includes
+ * replica_sync.hpp.
  *
  * Each is templated on the wave body's LanesCT (K known at compile
  * time, 0 = read at run time): values are indexed as entry * K + lane,
@@ -19,8 +20,6 @@
 
 #pragma once
 
-#include <algorithm>
-
 #include "common/prefetch.hpp"
 #include "engine/replica_sync.hpp"
 #include "engine/value_plane.hpp"
@@ -29,40 +28,34 @@ namespace digraph::engine {
 
 template <unsigned LanesCT>
 void
-ReplicaSync::convertStaleQueue(ValuePlane &plane, PartitionId p,
-                               std::vector<VertexId> &stale_vertices,
-                               std::vector<std::uint64_t> &stale_lanes) const
+ReplicaSync::absorbStaleMirrors(ValuePlane &plane, PartitionId p,
+                                std::vector<VertexId> &stale_vertices,
+                                std::vector<std::uint64_t> &stale_lanes)
+    const
 {
-    const VertexId *const e_idx = plane.storage.eIdx().data();
-    auto &queue = plane.stale_queue[p];
-    for (const MirrorEntryId k : queue) {
-        // The OR of every fan-out's changed lanes since this partition
-        // last ran (the same master may change in different lanes
-        // across waves before it runs).
-        const std::uint64_t lanes = plane.takePending<LanesCT>(k);
-        const std::uint64_t *const begin =
-            occur_slots_.data() + entry_slot_offsets_[k];
-        const std::uint64_t *const end =
-            occur_slots_.data() + entry_slot_offsets_[k + 1];
-        const VertexId v = e_idx[*begin];
-        const std::uint32_t version = plane.master_version[v];
-        bool any_stale = false;
-        for (const std::uint64_t *it = begin; it != end; ++it) {
-            const std::uint64_t slot = *it;
-            if (plane.slot_seen_version[slot] != version) {
-                any_stale = true;
-                plane.slot_seen_version[slot] = version;
-                if (is_src_slot_[slot])
-                    plane.activateSlot<LanesCT>(slot, lanes);
-            }
+    const std::uint32_t *const master_version = plane.master_version.data();
+    std::uint32_t *const entry_seen = plane.entry_seen.data();
+    for (const MirrorEntryId k : partitionEntries(p)) {
+        const VertexId v = entry_vertex_[k];
+        const std::uint32_t version = master_version[v];
+        if (entry_seen[k] == version)
+            continue;
+        // Every lane changed since this partition last absorbed the
+        // vertex (the same master may change in different lanes across
+        // waves before the partition runs).
+        const std::uint64_t lanes =
+            plane.lanesSince<LanesCT>(v, entry_seen[k]);
+        entry_seen[k] = version;
+        for (std::uint64_t j = entry_slot_offsets_[k];
+             j < entry_slot_offsets_[k + 1]; ++j) {
+            const std::uint64_t slot = occur_slots_[j];
+            if (is_src_slot_[slot])
+                plane.activateSlot<LanesCT>(slot, lanes);
         }
-        if (any_stale) {
-            stale_vertices.push_back(v);
-            if (plane.laneMasked<LanesCT>())
-                stale_lanes.push_back(lanes);
-        }
+        stale_vertices.push_back(v);
+        if (plane.laneMasked<LanesCT>())
+            stale_lanes.push_back(lanes);
     }
-    queue.clear();
 }
 
 template <class AlgoT, unsigned LanesCT>
@@ -73,7 +66,7 @@ ReplicaSync::pushDirtyMirrorsT(ValuePlane &plane, PartitionId p,
                                bool use_proxy,
                                std::uint32_t proxy_indegree_threshold,
                                bool journal,
-                               std::vector<VertexId> &changed,
+                               std::vector<MirrorEntryId> &changed,
                                std::vector<std::uint64_t> &changed_lanes)
     const
 {
@@ -129,7 +122,7 @@ ReplicaSync::pushDirtyMirrorsT(ValuePlane &plane, PartitionId p,
                 ++stats.atomic_pushes;
         }
         if (changed_mask) {
-            changed.push_back(v);
+            changed.push_back(slot_entry_[s]);
             if (plane.laneMasked<LanesCT>())
                 changed_lanes.push_back(changed_mask);
         }
@@ -142,26 +135,20 @@ ReplicaSync::pushDirtyMirrorsT(ValuePlane &plane, PartitionId p,
 template <class AlgoT, unsigned LanesCT>
 void
 ReplicaSync::refreshLocalMirrorsT(
-    ValuePlane &plane, const AlgoT &algo, PartitionId p,
-    const std::vector<VertexId> &changed,
+    ValuePlane &plane, const AlgoT &algo,
+    const std::vector<MirrorEntryId> &changed,
     const std::vector<std::uint64_t> &changed_lanes) const
 {
     const std::size_t k_lanes = plane.width<LanesCT>();
     const Value *const v_val = plane.storage.vVals().data();
     Value *const s_val = plane.storage.sVals().data();
     Value *const loaded_val = plane.storage.loadedVals().data();
-    const PartitionId *const parts = mirror_parts_.data();
     for (std::size_t i = 0; i < changed.size(); ++i) {
-        const VertexId v = changed[i];
+        const MirrorEntryId k = changed[i];
         const std::uint64_t lanes =
             plane.laneMaskAt<LanesCT>(changed_lanes, i);
         const Value *const master =
-            &v_val[static_cast<std::size_t>(v) * k_lanes];
-        // (v, p) is a mirror entry: v was found at one of p's slots.
-        const std::uint64_t k = static_cast<std::uint64_t>(
-            std::lower_bound(parts + mirror_offsets_[v],
-                             parts + mirror_offsets_[v + 1], p) -
-            parts);
+            &v_val[static_cast<std::size_t>(entry_vertex_[k]) * k_lanes];
         for (std::uint64_t j = entry_slot_offsets_[k];
              j < entry_slot_offsets_[k + 1]; ++j) {
             const std::uint64_t slot = occur_slots_[j];

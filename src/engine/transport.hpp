@@ -125,8 +125,9 @@ class Transport
         double ready, metrics::RunReport &report);
 
     /** Ring notification transfers to the partitions in
-     *  @p activated_parts (sorted/deduped) woken by partition @p p's
-     *  barrier; advances their partition_msg_ready. */
+     *  @p activated_parts (each listed once, in any order: bytes are
+     *  summed per device) woken by partition @p p's barrier; advances
+     *  their partition_msg_ready. */
     void notifyActivations(DeviceId dev,
                            const std::vector<PartitionId> &activated_parts,
                            double ready, metrics::RunReport &report);

@@ -107,7 +107,7 @@ struct RunReport
      *  merges), seconds. */
     double wall_compute_seconds = 0.0;
     /** Host wall-clock spent in the dispatch barriers (platform cost
-     *  replay, version bumps, activation fan-out), seconds. */
+     *  replay, version bumps, consumer wake), seconds. */
     double wall_barrier_seconds = 0.0;
     /** Always 0: masters merge in place during compute, so no engine
      *  has a separate merge phase. Kept for readers of the field. */

@@ -256,8 +256,8 @@ TEST(GoldenIdentity, PagerankAlternateModesWithinTolerance)
 TEST(GoldenIdentity, HubGraphBitwise)
 {
     // The twitter stand-in replicates its hubs across more than 32
-    // partitions, so every master change there fans out to that many
-    // stale queues — the case the 400-vertex graph never reaches. These
+    // partitions, so every master change there goes stale in that many
+    // mirror entries — the case the 400-vertex graph never reaches. These
     // fixtures were recorded by the layered engine, not the pre-refactor
     // one, so the accumulative pagerank is held bitwise too, sim cycles
     // included.

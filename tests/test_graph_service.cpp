@@ -201,11 +201,15 @@ TEST(GraphService, PriorityOrderUnderPreemption)
 
     // The lowest-priority job goes first and occupies the slot; with a
     // 1-wave quantum it parks as soon as competitors queue, and the
-    // scheduler then drives completions in strict priority order.
+    // scheduler then drives completions in strict priority order. The
+    // others are submitted in descending priority, so each is queued
+    // after every job that outranks it: none can be granted (and so
+    // finish) before a higher-priority job it should wait for exists,
+    // however fast the jobs run.
     const auto a = service.addJobAsync({"pagerank", "default", 0});
-    const auto b = service.addJobAsync({"wcc", "default", 1});
     const auto c = service.addJobAsync({"sssp:0", "default", 5});
     const auto d = service.addJobAsync({"kcore:3", "default", 3});
+    const auto b = service.addJobAsync({"wcc", "default", 1});
     const auto results = service.drain();
     ASSERT_EQ(results.size(), 4u);
 
