@@ -19,8 +19,9 @@
 # older snapshots. test_evolving_incremental runs warm starts on
 # appended epoch substrates, whose replica indexes (per-partition mirror
 # entry lists, the slot -> entry map) every substrate build makes anew.
-# test_trace runs the traced wave body, whose Pri(p) path selection
-# reports the first highest-priority path.
+# test_trace runs every mode and an 8-lane ppr through the one wave
+# body with and without a trace sink, where the traced Pri(p) path
+# selection reports the first highest-priority path.
 #
 # Usage (from the repo root):
 #     ci/asan.sh               # configure + build + run

@@ -91,11 +91,11 @@ class LaneAlgorithm : public Algorithm
 /**
  * Policy adapter for lane algorithms — the LaneAlgorithm counterpart of
  * PolicyAlgorithm (a parallel adapter rather than a mixin, to keep the
- * hierarchy diamond-free). The engine copies the policy into the wave
- * body instantiated for lanes() and runs it per lane with zero virtual
- * dispatch; lane resolution (wave_kernel.cpp) matches on kernelTag() +
- * a dynamic_cast to this adapter, mirroring the scalar tryResolve
- * contract.
+ * hierarchy diamond-free). The engine copies the policy into its
+ * 1-lane wave body at lanes() == 1, or its run-time-K body otherwise,
+ * and runs it per lane with zero virtual dispatch; lane resolution
+ * (wave_kernel.cpp) matches on kernelTag() + a dynamic_cast to this
+ * adapter, mirroring the scalar tryResolve contract.
  */
 template <class Policy>
 class LanePolicyAlgorithm : public LaneAlgorithm

@@ -20,6 +20,23 @@ modeName(ExecutionMode mode)
     return "?";
 }
 
+std::string
+laneRunRestriction(const algorithms::Algorithm &algo,
+                   const EngineOptions &options, bool warm_start)
+{
+    if (!dynamic_cast<const algorithms::LaneAlgorithm *>(&algo))
+        return "";
+    if (options.mode == ExecutionMode::VertexAsync)
+        return "batched lane runs require a path mode (digraph / "
+               "digraph-w)";
+    if (warm_start)
+        return "batched lane runs do not support warm starts";
+    if (!options.faults.empty() || options.store != nullptr)
+        return "batched lane runs do not support fault tolerance or a "
+               "durable store";
+    return "";
+}
+
 DiGraphEngine::DiGraphEngine(const graph::DirectedGraph &g,
                              EngineOptions options)
     : g_(g), options_(std::move(options)),
@@ -125,38 +142,28 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
 
     // Batched multi-source mode: a LaneAlgorithm runs K value lanes in
     // one traversal (DESIGN.md §17); every other algorithm is the K = 1
-    // run of the same body. Lane runs are path-mode only and exclude
-    // the warm-start and fault/durable-store machinery (their journals
-    // and checkpoints hold one lane).
+    // run of the same body.
     const auto *lane_algo =
         dynamic_cast<const algorithms::LaneAlgorithm *>(&algo);
     const unsigned lanes = lane_algo ? lane_algo->lanes() : 1;
-    if (lane_algo) {
-        if (lanes == 0 || lanes > algorithms::kMaxValueLanes) {
-            fatal("DiGraphEngine: lane algorithm '", algo.name(),
-                  "' declares ", lanes, " lanes (supported: 1..",
-                  algorithms::kMaxValueLanes, ")");
-        }
-        if (options_.mode == ExecutionMode::VertexAsync) {
-            fatal("DiGraphEngine: batched lane runs require a path "
-                  "mode (digraph / digraph-w)");
-        }
-        if (warm != nullptr)
-            fatal("DiGraphEngine: batched lane runs do not support "
-                  "warm starts");
-        if (ft_enabled_) {
-            fatal("DiGraphEngine: batched lane runs do not support "
-                  "fault tolerance or a durable store");
-        }
+    if (lanes == 0 || lanes > algorithms::kMaxValueLanes) {
+        fatal("DiGraphEngine: lane algorithm '", algo.name(),
+              "' declares ", lanes, " lanes (supported: 1..",
+              algorithms::kMaxValueLanes, ")");
+    }
+    if (const std::string why =
+            laneRunRestriction(algo, options_, warm != nullptr);
+        !why.empty()) {
+        fatal("DiGraphEngine: ", why);
     }
     report.value_lanes = lanes;
 
     // Resolve the wave kernel once per run: the compile-time body
-    // instantiation matching (algorithm policy, mode, tracing, lanes).
-    // The hot loop below calls one function pointer per dispatch —
-    // never a virtual per edge. An algorithm no registry row realizes
-    // is rejected here, before any run state is allocated.
-    auto kernel = resolveWaveKernel(algo, options_, trace_ != nullptr);
+    // instantiation matching (algorithm policy, VertexAsync or path,
+    // 1 or K lanes). The hot loop below calls one function pointer per
+    // dispatch — never a virtual per edge. An algorithm no registry row
+    // realizes is rejected here, before any run state is allocated.
+    auto kernel = resolveWaveKernel(algo, options_);
     if (!kernel) {
         fatal("DiGraphEngine: algorithm '", algo.name(), "' (kernel tag '",
               algo.kernelTag(), "') matches no registered ",

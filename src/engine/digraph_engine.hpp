@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algorithms/algorithm.hpp"
@@ -105,6 +106,18 @@ struct DispatchOutcome
 };
 
 /**
+ * Why DiGraphEngine::run cannot run @p algo under @p options (with a
+ * warm start when @p warm_start), or "" when it can. Only batched lane
+ * runs (DESIGN.md §17) are restricted: they need a path mode, no fault
+ * plan or durable store and no warm start, because checkpoints, the
+ * store's value flush and warm starts hold one lane. run() fatal()s on
+ * the reason; GraphService rejects such a job at admission with it.
+ */
+std::string laneRunRestriction(const algorithms::Algorithm &algo,
+                               const EngineOptions &options,
+                               bool warm_start);
+
+/**
  * Path-based iterative directed-graph processing engine.
  *
  * One engine instance is bound to a graph; run() may be called repeatedly
@@ -140,7 +153,8 @@ class DiGraphEngine
 
     /** Execute @p algo to convergence; returns the full report.
      *  fatal() when @p algo matches no registered wave kernel (see
-     *  resolveWaveKernel and Algorithm::kernelTag()).
+     *  resolveWaveKernel and Algorithm::kernelTag()) or is a lane run
+     *  the engine cannot execute (see laneRunRestriction).
      *  @param warm Optional warm start (evolving-graph reruns): vertex
      *  states resume from the given vector, edge caches are initialized
      *  consistently via Algorithm::warmEdgeState(), and only the given
@@ -325,8 +339,9 @@ class DiGraphEngine
     double trace_wave_sim_ = 0.0;
     std::vector<std::uint32_t> partition_process_count_;
 
-    /** Wave kernel resolved for the current run (the compile-time
-     *  body instantiation and its policy copy). */
+    /** Wave kernel resolved for the current run (the body
+     *  instantiation for its policy, VertexAsync or path, and 1 or K
+     *  lanes, plus its policy copy). */
     ResolvedKernel kernel_;
 
     /** True when options_.faults is non-empty or a durable store is

@@ -318,12 +318,20 @@ GraphService::addJobAsync(const JobRequest &request)
         job.estimate_bytes =
             job.update_edges.size() * sizeof(graph::Edge);
     } else {
-        // Validate the spec up front (fatal on nonsense). The real
-        // algorithm instance is rebuilt at grant time over the job's
-        // pinned epoch.
+        // Validate the spec up front (fatal on nonsense) and reject a
+        // job the engine cannot run before it is journaled, so a
+        // restart never replays it. The real algorithm instance is
+        // rebuilt at grant time over the job's pinned epoch.
         {
             auto vpin = catalog_->pin();
-            algorithms::makeAlgorithmSpec(request.spec, vpin.graph());
+            const auto algo =
+                algorithms::makeAlgorithmSpec(request.spec, vpin.graph());
+            job.reject_reason = laneRunRestriction(*algo, options_, false);
+        }
+        if (!job.reject_reason.empty()) {
+            job.state = JobState::Rejected;
+            ++stats_.rejected;
+            return id;
         }
         job.estimate_bytes =
             policy_.state_budget_bytes ? jobBytesEstimate() : 0;

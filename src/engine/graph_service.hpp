@@ -97,7 +97,8 @@ enum class JobState : std::uint8_t {
     Parked,
     /** Ran to convergence; result available. */
     Done,
-    /** Refused at submission (admission control); never ran. */
+    /** Refused at submission (admission control, or a job the
+     *  engine cannot run under the session's options); never ran. */
     Rejected,
 };
 
@@ -260,9 +261,11 @@ class GraphService
 
     /**
      * Submit a job. Returns immediately with its handle; the job is
-     * scheduled asynchronously. A job refused by admission control
-     * comes back with poll(id).state == Rejected (and the reason in
-     * poll(id).detail). Fatal on a malformed algorithm spec; an
+     * scheduled asynchronously. A job refused by admission control,
+     * or one the engine cannot run under the session's options (see
+     * laneRunRestriction), comes back with poll(id).state == Rejected
+     * (and the reason in poll(id).detail) and is never journaled.
+     * Fatal on a malformed algorithm spec; an
      * unreadable update edge file Rejects instead (the service must
      * outlive any one bad request). An "update:<edge-file>" spec
      * submits an update job (see addUpdateAsync).

@@ -17,9 +17,9 @@
  * a K > 1 run keeps a lane mask in its place (slot_lane_mask) plus
  * per-lane active-slot counters, a version per master lane, and a list
  * position per vertex beside its dedupe stamp. The helpers templated on
- * LanesCT pick the width (LanesCT = 1 or > 1 at compile time, 0 = from
- * lanes() at run time), so every caller is one function over lane
- * masks; a 1-lane run's only lane is bit 0.
+ * LanesCT pick the width (the wave body's LanesCT: 1 at compile time,
+ * or 0 = from lanes() at run time), so every caller is one function
+ * over lane masks; a 1-lane run's only lane is bit 0.
  *
  * Versions are 32-bit. A master version counts the barriers that
  * changed the vertex, so a vertex would need 2^32 changing barriers in

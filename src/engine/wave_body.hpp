@@ -4,18 +4,20 @@
  * (DESIGN.md §14). WaveKernels::compute<> is the compute phase of one
  * partition dispatch, parameterized on
  *
- *  - AlgoT   — a non-virtual kernel policy (the per-edge math inlines,
- *              zero virtual calls; see PolicyAlgorithm for the
- *              members a policy provides);
- *  - M       — the execution mode, so the VertexAsync snapshot
- *              machinery and the PathAsync priority scheduling are
- *              compiled out of the modes that don't use them;
- *  - TraceOn — whether trace instrumentation exists at all in this
- *              instantiation;
- *  - LanesCT — the value lanes K per entry (DESIGN.md §17): 1 for every
- *              scalar algorithm, 8 for the batched sweet spot, 0 = read
- *              K from the ValuePlane at run time. At 1 the stripe loops,
- *              lane masks and per-lane counters compile away.
+ *  - AlgoT       — a non-virtual kernel policy (the per-edge math
+ *                  inlines, zero virtual calls; see PolicyAlgorithm for
+ *                  the members a policy provides);
+ *  - VertexAsync — DiGraph-t's snapshot edge loop, compiled out of the
+ *                  path-mode body. The path modes share one body and
+ *                  differ only in which active paths a round runs,
+ *                  tested per round;
+ *  - LanesCT     — the value lanes K per entry (DESIGN.md §17): 1 for
+ *                  every 1-lane run, 0 = read K from the ValuePlane at
+ *                  run time (every K > 1). At 1 the stripe loops, lane
+ *                  masks and per-lane counters compile away.
+ *
+ * The two compute-phase trace sites (path_schedule, mirror_push) test
+ * the engine's trace sink once per round.
  *
  * Dispatches run one at a time, so the body reads and writes the shared
  * masters directly: mirror pushes merge into V_val in generation order.
@@ -69,12 +71,11 @@ struct WaveKernels
      * slot regardless of K (the batching win BENCH_multisource.json
      * measures).
      */
-    template <class AlgoT, ExecutionMode M, bool TraceOn, unsigned LanesCT>
+    template <class AlgoT, bool VertexAsync, unsigned LanesCT>
     static DispatchOutcome
     compute(DiGraphEngine &eng, PartitionId p, const AlgoT &algo)
     {
-        constexpr bool vertex_async = (M == ExecutionMode::VertexAsync);
-        static_assert(!vertex_async || LanesCT == 1,
+        static_assert(!VertexAsync || LanesCT == 1,
                       "VertexAsync runs one lane (lane runs are "
                       "rejected under it)");
         DispatchOutcome out;
@@ -107,8 +108,8 @@ struct WaveKernels
             eng.options_.platform.cycles_per_edge +
             kWordsPerEdge *
                 eng.options_.platform.cycles_per_global_access *
-                (vertex_async ? 1.0
-                              : eng.options_.platform.coalesced_factor);
+                (VertexAsync ? 1.0
+                             : eng.options_.platform.coalesced_factor);
         // Incremental cost of one additional active lane of an edge
         // stripe: the lane rides the leader's instruction stream as a
         // predicated vector lane (edge decode and issue slots already
@@ -179,19 +180,16 @@ struct WaveKernels
                     static_cast<std::size_t>(lanes) *
                     (eng.options_.work_stealing ? 2 : 1);
                 const std::size_t n_active = active_paths.size();
-                if constexpr (M == ExecutionMode::PathAsync) {
+                if (eng.options_.mode == ExecutionMode::PathAsync) {
                     eng.sched_.selectByPriority(
                         active_paths, plane.path_active_count, capacity);
-                    if constexpr (TraceOn) {
-                        if (eng.trace_) {
-                            eng.trace_->event(
-                                metrics::TraceEventType::PathSchedule,
-                                eng.trace_wave_, p, eng.trace_wave_sim_,
-                                0.0, n_active,
-                                eng.sched_.topPriorityPath(
-                                    active_paths,
-                                    plane.path_active_count));
-                        }
+                    if (eng.trace_) {
+                        eng.trace_->event(
+                            metrics::TraceEventType::PathSchedule,
+                            eng.trace_wave_, p, eng.trace_wave_sim_, 0.0,
+                            n_active,
+                            eng.sched_.topPriorityPath(
+                                active_paths, plane.path_active_count));
                     }
                 } else if (n_active > capacity) {
                     active_paths.resize(capacity);
@@ -200,7 +198,7 @@ struct WaveKernels
 
             // VertexAsync (DiGraph-t): snapshot source reads so that
             // new states cross one hop per round.
-            if constexpr (vertex_async) {
+            if constexpr (VertexAsync) {
                 snapshot.assign(s_val + slot_lo, s_val + slot_hi);
                 pending.clear();
             }
@@ -246,7 +244,7 @@ struct WaveKernels
                     std::uint64_t dst_changed = 0;
                     forEachLane<LanesCT>(mask, [&](unsigned l) {
                         Value src_val;
-                        if constexpr (vertex_async)
+                        if constexpr (VertexAsync)
                             src_val = snapshot[src_slot - slot_lo];
                         else
                             src_val = src_vals[l];
@@ -263,7 +261,7 @@ struct WaveKernels
                     // worklist the mirror-push phase examines.
                     plane.partition_dirty[p].mark(src_slot + 1);
                     if (dst_changed && eng.sync_.isSrcSlot(src_slot + 1)) {
-                        if constexpr (vertex_async)
+                        if constexpr (VertexAsync)
                             pending.push_back(src_slot + 1);
                         else
                             plane.activateSlot<LanesCT>(
@@ -272,7 +270,7 @@ struct WaveKernels
                 }
             }
 
-            if constexpr (vertex_async) {
+            if constexpr (VertexAsync) {
                 for (const std::uint64_t slot : pending)
                     plane.activateSlot<LanesCT>(slot, 1);
             }
@@ -288,15 +286,13 @@ struct WaveKernels
                         eng.options_.proxy_indegree_threshold),
                     eng.ft_enabled_, changed, changed_lanes);
             out.push_count += stats.proxy_pushes + stats.atomic_pushes;
-            if constexpr (TraceOn) {
-                if (eng.trace_ &&
-                    stats.proxy_pushes + stats.atomic_pushes > 0) {
-                    eng.trace_->event(
-                        metrics::TraceEventType::MirrorPush,
-                        eng.trace_wave_, p, eng.trace_wave_sim_, 0.0,
-                        stats.proxy_pushes + stats.atomic_pushes,
-                        local_rounds);
-                }
+            if (eng.trace_ &&
+                stats.proxy_pushes + stats.atomic_pushes > 0) {
+                eng.trace_->event(metrics::TraceEventType::MirrorPush,
+                                  eng.trace_wave_, p, eng.trace_wave_sim_,
+                                  0.0,
+                                  stats.proxy_pushes + stats.atomic_pushes,
+                                  local_rounds);
             }
             out.changed.insert(out.changed.end(), changed.begin(),
                                changed.end());

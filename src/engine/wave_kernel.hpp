@@ -3,14 +3,19 @@
  * Compile-time wave-kernel registry (DESIGN.md §14).
  *
  * The wave compute phase is a single body template (wave_body.hpp)
- * instantiated per (algorithm kernel policy x execution mode x trace
- * on/off x value lanes). resolveWaveKernel() maps a concrete Algorithm
- * plus the engine options to one such instantiation ONCE per run: the
- * hot loop then calls the algorithm's per-edge math through an
- * inlined policy copy — zero virtual dispatch per edge, dead feature
- * branches (tracing, unused weight/out-degree loads, the VertexAsync
- * snapshot machinery, the lane dimension of 1-lane runs) compiled
- * out.
+ * instantiated per (algorithm kernel policy x VertexAsync-or-path x
+ * value lanes), and only along those axes: VertexAsync's snapshot
+ * changes the edge loop, and a 1-lane body drops the stripe loops. The
+ * two path modes differ only in which active paths a round runs, and a
+ * trace sink only at two per-round sites, so both are tested at run
+ * time.
+ *
+ * resolveWaveKernel() maps a concrete Algorithm plus the engine options
+ * to one such instantiation ONCE per run: the hot loop then calls the
+ * algorithm's per-edge math through an inlined policy copy — zero
+ * virtual dispatch per edge, dead feature branches (unused
+ * weight/out-degree loads, the VertexAsync snapshot machinery, the lane
+ * dimension of 1-lane runs) compiled out.
  *
  * Resolution is gated on Algorithm::kernelTag(): a subclass that
  * overrides processing semantics must return "" (contract documented on
@@ -56,17 +61,16 @@ struct ResolvedKernel
 
 /**
  * Resolve @p algo against the kernel registry under @p options.
- * @param trace_on Whether a trace sink is attached for this run (selects
- *        the TraceOn body so a disabled trace costs nothing at all).
  * A LanePolicyAlgorithm resolves against the lane rows ("<tag>:lanes";
- * path modes only): the body compiled for its K (1 or 8) or the
- * run-time-K body. Every other algorithm runs the 1-lane body.
+ * path modes only): the 1-lane body at K = 1, else the run-time-K body.
+ * Every other algorithm runs the 1-lane body of its mode.
  * @return std::nullopt when @p algo matches no registry row: its
- *         kernelTag() is empty or unknown, or it is not the registered
- *         class (a LaneAlgorithm that is not a LanePolicyAlgorithm).
+ *         kernelTag() is empty or unknown, it is not the registered
+ *         class (a LaneAlgorithm that is not a LanePolicyAlgorithm), or
+ *         it is a lane algorithm under VertexAsync.
  */
 std::optional<ResolvedKernel>
 resolveWaveKernel(const algorithms::Algorithm &algo,
-                  const EngineOptions &options, bool trace_on);
+                  const EngineOptions &options);
 
 } // namespace digraph::engine

@@ -38,11 +38,11 @@
  * dispatches ran one at a time in the same order.
  *
  * The lanes_* fixtures pin batched multi-source runs on the golden
- * graph: ppr and msbfs, each at K = 8 (the compile-time lane body) and
- * K = 12 (the run-time-K body), one in each path mode. Besides the
- * headline counters they hold lane_converged_wave and every lane's
- * final state. They were recorded by the engine that kept a separate
- * lane wave body and lane value arrays beside the scalar ones.
+ * graph: ppr and msbfs, each at K = 8 and K = 12, one in each path
+ * mode. Besides the headline counters they hold lane_converged_wave and
+ * every lane's final state. They were recorded by the engine that kept
+ * a separate lane wave body and lane value arrays beside the scalar
+ * ones, with its own compile-time body for K = 8.
  */
 
 #include <cinttypes>
@@ -263,8 +263,8 @@ main(int argc, char **argv)
                      engine::ExecutionMode::PathAsync, eng.run(*algo));
     }
 
-    // Batched lane runs: both lane bodies (K = 8 compile-time, K = 12
-    // run-time), both lane policies and both path modes.
+    // Batched lane runs: K = 8 and K = 12, both lane policies and both
+    // path modes.
     struct LaneCase
     {
         const char *algo;

@@ -358,7 +358,7 @@ TEST(GoldenIdentity, LongdistGraphPinsWaveOrder)
 
 TEST(GoldenIdentity, LaneRunsBitwise)
 {
-    // Both lane bodies (K = 8 compile-time, K = 12 run-time), both lane
+    // K = 8 and K = 12 (both on the run-time-K body), both lane
     // policies and both path modes; every lane is held bit for bit, the
     // accumulative ppr included, with sim cycles and the per-lane
     // convergence waves.

@@ -1,18 +1,22 @@
 /**
  * @file
  * Tests for the observability subsystem: CounterRegistry semantics,
- * TraceSink event collection, exporter output, and the invariant that a
+ * TraceSink event collection, exporter output, the invariant that a
  * trace's counter totals equal the RunReport aggregates of the traced
- * run — on the DiGraph engine and both baselines.
+ * run — on the DiGraph engine and both baselines — and that tracing
+ * never changes a DiGraph run in any mode or lane width.
  */
 
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "algorithms/multi_source.hpp"
 #include "algorithms/pagerank.hpp"
 #include "algorithms/sssp.hpp"
 #include "baselines/async_engine.hpp"
@@ -194,21 +198,56 @@ TEST(EngineTrace, CounterTotalsMatchReportAggregates)
 
 TEST(EngineTrace, TracedRunMatchesUntracedRun)
 {
+    // Traced and untraced runs share one wave body in every mode and
+    // lane width, so the sink must only observe: same states in every
+    // lane, counters and sim cycles.
+    using engine::ExecutionMode;
     const auto g = testGraph(78);
     const algorithms::Sssp sssp(0);
-    engine::EngineOptions opts;
-    opts.platform = smallPlatform();
-    engine::DiGraphEngine plain(g, opts);
-    const auto base = plain.run(sssp);
+    const algorithms::PageRank pagerank;
+    const algorithms::Ppr ppr8({0, 1, 2, 3, 4, 5, 6, 7});
+    struct Case
+    {
+        const algorithms::Algorithm *algo;
+        ExecutionMode mode;
+    };
+    std::vector<Case> cases;
+    for (const ExecutionMode mode :
+         {ExecutionMode::PathAsync, ExecutionMode::PathNoSched,
+          ExecutionMode::VertexAsync}) {
+        cases.push_back({&sssp, mode});
+        cases.push_back({&pagerank, mode});
+    }
+    cases.push_back({&ppr8, ExecutionMode::PathAsync});
+    cases.push_back({&ppr8, ExecutionMode::PathNoSched});
 
-    metrics::TraceSink sink;
-    opts.trace = &sink;
-    engine::DiGraphEngine traced(g, opts);
-    const auto withtrace = traced.run(sssp);
+    for (const Case &c : cases) {
+        const std::string label =
+            c.algo->name() + " " + engine::modeName(c.mode);
+        engine::EngineOptions opts;
+        opts.platform = smallPlatform();
+        opts.mode = c.mode;
+        engine::DiGraphEngine plain(g, opts);
+        const auto base = plain.run(*c.algo);
 
-    EXPECT_EQ(base.final_state, withtrace.final_state);
-    EXPECT_EQ(base.edge_processings, withtrace.edge_processings);
-    EXPECT_EQ(base.sim_cycles, withtrace.sim_cycles);
+        metrics::TraceSink sink;
+        opts.trace = &sink;
+        engine::DiGraphEngine traced(g, opts);
+        const auto withtrace = traced.run(*c.algo);
+
+        EXPECT_EQ(base.final_state, withtrace.final_state) << label;
+        EXPECT_EQ(base.lane_states, withtrace.lane_states) << label;
+        EXPECT_TRUE(plain.counters() == traced.counters()) << label;
+        EXPECT_EQ(base.sim_cycles, withtrace.sim_cycles) << label;
+        // Pri(p) path selection, and the event that reports it, belong
+        // to DiGraph alone.
+        const std::size_t schedules =
+            sink.count(metrics::TraceEventType::PathSchedule);
+        if (c.mode == ExecutionMode::PathAsync)
+            EXPECT_GT(schedules, 0u) << label;
+        else
+            EXPECT_EQ(schedules, 0u) << label;
+    }
 }
 
 TEST(EngineTrace, ReusedEngineResetsCountersBetweenRuns)

@@ -2,8 +2,10 @@
  * @file
  * Wave-kernel registry tests (DESIGN.md §14):
  *
- *  1. every factory algorithm resolves to its registry kernel for every
- *     (execution mode x trace) combination;
+ *  1. every factory algorithm resolves to its registry kernel in every
+ *     execution mode, and the registry has its shape: one body per
+ *     (policy x VertexAsync-or-path x 1-or-K lanes), so the two path
+ *     modes, and every K > 1, share an entry point;
  *  2. the hot loop provably never enters the virtual processing
  *     interface: a PageRank subclass that counts its virtual calls sees
  *     ZERO of them;
@@ -60,22 +62,64 @@ TEST(WaveKernels, EveryAlgorithmResolvesSpecializedEverywhere)
     for (const std::string &name : algorithms::allAlgorithmNames()) {
         const auto algo = algorithms::makeAlgorithm(name, g);
         for (const engine::ExecutionMode mode : modes) {
-            for (const bool trace_on : {false, true}) {
-                engine::EngineOptions opts;
-                opts.mode = mode;
-                const auto k =
-                    engine::resolveWaveKernel(*algo, opts, trace_on);
-                const std::string label =
-                    name + " mode=" +
-                    std::to_string(static_cast<int>(mode)) +
-                    " trace=" + std::to_string(trace_on);
-                ASSERT_TRUE(k.has_value()) << label;
-                EXPECT_EQ(k->name, name) << label;
-                ASSERT_NE(k->compute, nullptr) << label;
-                ASSERT_NE(k->policy, nullptr) << label;
-            }
+            engine::EngineOptions opts;
+            opts.mode = mode;
+            const auto k = engine::resolveWaveKernel(*algo, opts);
+            const std::string label =
+                name + " mode=" + engine::modeName(mode);
+            ASSERT_TRUE(k.has_value()) << label;
+            EXPECT_EQ(k->name, name) << label;
+            ASSERT_NE(k->compute, nullptr) << label;
+            ASSERT_NE(k->policy, nullptr) << label;
         }
     }
+}
+
+/** The compute entry point @p algo resolves to under @p mode (nullptr
+ *  when it resolves to no row). */
+engine::ResolvedKernel::ComputeFn
+entryPoint(const algorithms::Algorithm &algo, engine::ExecutionMode mode)
+{
+    engine::EngineOptions opts;
+    opts.mode = mode;
+    const auto k = engine::resolveWaveKernel(algo, opts);
+    return k ? k->compute : nullptr;
+}
+
+TEST(WaveKernels, RegistryShape)
+{
+    using engine::ExecutionMode;
+    const algorithms::PageRank pagerank;
+    const algorithms::Ppr ppr1({0});
+    const algorithms::Ppr ppr8({0, 1, 2, 3, 4, 5, 6, 7});
+    const algorithms::Ppr ppr12({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+    const algorithms::MsBfs msbfs8({0, 1, 2, 3, 4, 5, 6, 7});
+
+    // digraph and digraph-w run one body; digraph-t its own.
+    const auto path = entryPoint(pagerank, ExecutionMode::PathAsync);
+    ASSERT_NE(path, nullptr);
+    EXPECT_EQ(entryPoint(pagerank, ExecutionMode::PathNoSched), path);
+    EXPECT_NE(entryPoint(pagerank, ExecutionMode::VertexAsync), path);
+    EXPECT_NE(entryPoint(pagerank, ExecutionMode::VertexAsync), nullptr);
+
+    // Every K > 1 runs the one run-time-K body of its policy, in both
+    // path modes.
+    const auto lanes = entryPoint(ppr8, ExecutionMode::PathAsync);
+    ASSERT_NE(lanes, nullptr);
+    EXPECT_NE(lanes, path);
+    EXPECT_EQ(entryPoint(ppr12, ExecutionMode::PathAsync), lanes);
+    EXPECT_EQ(entryPoint(ppr8, ExecutionMode::PathNoSched), lanes);
+    EXPECT_EQ(entryPoint(ppr12, ExecutionMode::PathNoSched), lanes);
+    EXPECT_NE(entryPoint(msbfs8, ExecutionMode::PathAsync), lanes);
+
+    // A 1-lane lane algorithm shares its policy's scalar body.
+    EXPECT_EQ(entryPoint(ppr1, ExecutionMode::PathAsync), path);
+    EXPECT_EQ(entryPoint(ppr1, ExecutionMode::PathNoSched), path);
+
+    // Lane rows exist in the path modes only.
+    EXPECT_EQ(entryPoint(ppr1, ExecutionMode::VertexAsync), nullptr);
+    EXPECT_EQ(entryPoint(ppr8, ExecutionMode::VertexAsync), nullptr);
+    EXPECT_EQ(entryPoint(msbfs8, ExecutionMode::VertexAsync), nullptr);
 }
 
 /** An algorithm the registry has never heard of (default kernelTag). */
@@ -231,15 +275,15 @@ TEST(WaveKernelsDeathTest, UnregisteredAlgorithmsAreRejected)
     CallCounters calls;
     const OptOutPageRank opted_out(calls);
     EXPECT_FALSE(
-        engine::resolveWaveKernel(unregistered, opts, false).has_value());
+        engine::resolveWaveKernel(unregistered, opts).has_value());
     EXPECT_FALSE(
-        engine::resolveWaveKernel(opted_out, opts, false).has_value());
+        engine::resolveWaveKernel(opted_out, opts).has_value());
     // Rows are picked by class: a scalar class runs its scalar row and
     // a lane class with the same tag its lane row.
     const algorithms::PageRank scalar;
     const algorithms::Ppr lanes({0, 1, 2, 3});
-    const auto scalar_row = engine::resolveWaveKernel(scalar, opts, false);
-    const auto lane_row = engine::resolveWaveKernel(lanes, opts, false);
+    const auto scalar_row = engine::resolveWaveKernel(scalar, opts);
+    const auto lane_row = engine::resolveWaveKernel(lanes, opts);
     ASSERT_TRUE(scalar_row.has_value());
     ASSERT_TRUE(lane_row.has_value());
     EXPECT_EQ(scalar_row->name, "pagerank");
