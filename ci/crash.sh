@@ -6,8 +6,11 @@
 #  1. Fault matrix: test_durable_store drives the FileOps fault plans
 #     (failed shard writes at every position, torn manifest renames,
 #     short reads, torn journal appends, failed GC unlinks) plus the
-#     recovery edge cases; ASan turns any stale mapping or overrun in
-#     the mmap-backed loaders into a hard failure.
+#     recovery edge cases, the epoch-chain recovery checked against a
+#     reference walk on five store layouts, a short read at every read
+#     index of a 4-epoch chain recovery, and the chain-recovery read
+#     budget; ASan turns any stale mapping or overrun in the mmap-backed
+#     loaders into a hard failure.
 #
 #  2. Kill-and-restart: a digraph_cli --serve session over a --store
 #     directory is killed with SIGKILL mid-run, then restarted on the
@@ -17,14 +20,14 @@
 #     must equal a reference session that never crashed.
 #
 #  3. Kill-during-update: a --serve session whose script interleaves
-#     queries with live-graph `update` jobs is SIGKILLed at staggered
-#     points of the epoch chain (journal created / epoch v2 committed /
-#     epoch v3 committed). Every restart must warm-start on exactly the
+#     queries with five live-graph `update` jobs is SIGKILLed at
+#     staggered points of the epoch chain (journal created / epoch v2,
+#     v4 and v6 committed). Every restart must warm-start on exactly the
 #     deepest committed topology version on disk — never a torn or
 #     half-written one — and drain its jobs to completion.
 #
 # Usage (from the repo root):
-#     ci/crash.sh              # configure + build + run both phases
+#     ci/crash.sh              # configure + build + run all three phases
 #     ci/crash.sh --if-enabled # ctest entry point: exit 77 (skip)
 #                              # unless DIGRAPH_CI_CRASH=1
 set -eu
@@ -135,10 +138,11 @@ grep -q "resumed" "$WORK/restart2.txt" &&
     fail "second restart still found journaled jobs"
 
 # --- phase 3: SIGKILL during live updates --------------------------------
-# The script interleaves queries with two `update` jobs, so the store's
-# epoch chain grows v1 (root) -> v2 -> v3 while the session runs. Kill
-# triggers: the job journal appearing (all jobs admitted, updates
-# pending), epoch v2 committed (mid-chain), epoch v3 committed (chain
+# The script interleaves queries with five `update` jobs of distinct
+# batches, so the store's epoch chain grows v1 (root) -> v2 -> ... -> v6
+# while the session runs. Kill triggers: the job journal appearing (all
+# jobs admitted, updates pending), epochs v2 and v4 committed
+# (mid-chain, one and three links deep), epoch v6 committed (chain
 # complete, queries still draining). Every store file lands via atomic
 # rename, so whatever the kill leaves behind, the deepest manifest on
 # disk IS the deepest committed epoch — and the restart must land
@@ -147,6 +151,12 @@ awk 'BEGIN { for (i = 0; i < 300; ++i) print i % 97, (i * 31 + 7) % 89, 1 }' \
     > "$WORK/b1.txt"
 awk 'BEGIN { for (i = 0; i < 300; ++i) print (i * 13) % 83, (i * 41 + 3) % 101, 1 }' \
     > "$WORK/b2.txt"
+awk 'BEGIN { for (i = 0; i < 300; ++i) print (i * 7 + 5) % 79, (i * 53 + 11) % 103, 1 }' \
+    > "$WORK/b3.txt"
+awk 'BEGIN { for (i = 0; i < 300; ++i) print (i * 17 + 2) % 107, (i * 29 + 13) % 73, 1 }' \
+    > "$WORK/b4.txt"
+awk 'BEGIN { for (i = 0; i < 300; ++i) print (i * 23 + 9) % 91, (i * 37 + 1) % 109, 1 }' \
+    > "$WORK/b5.txt"
 UPD_SCRIPT="$WORK/upd_jobs.txt"
 {
     printf 'pagerank\n'
@@ -154,9 +164,15 @@ UPD_SCRIPT="$WORK/upd_jobs.txt"
     printf 'wcc\n'
     printf 'update %s\n' "$WORK/b2.txt"
     printf 'sssp:0\n'
+    printf 'update %s\n' "$WORK/b3.txt"
+    printf 'kcore:3\n'
+    printf 'update %s\n' "$WORK/b4.txt"
+    printf 'bfs:0\n'
+    printf 'update %s\n' "$WORK/b5.txt"
+    printf 'wcc\n'
 } > "$UPD_SCRIPT"
 
-for trigger in jobs.wal MANIFEST.v2.json MANIFEST.v3.json; do
+for trigger in jobs.wal MANIFEST.v2.json MANIFEST.v4.json MANIFEST.v6.json; do
     rm -rf "$WORK/store_upd"
     "$CLI" --algo sssp --dataset dblp --scale 0.4 --serve "$UPD_SCRIPT" \
         --store "$WORK/store_upd" > "$WORK/upd_killed.txt" 2>&1 &

@@ -307,13 +307,9 @@ GraphService::addJobAsync(const JobRequest &request)
         const std::string path =
             request.spec.substr(std::strlen(kUpdateSpecPrefix));
         auto edges = graph::loadEdgeBatchText(path);
-        if (!edges) {
-            job.state = JobState::Rejected;
-            job.reject_reason =
-                "cannot read update edge file '" + path + "'";
-            ++stats_.rejected;
-            return id;
-        }
+        if (!edges)
+            return reject(job,
+                          "cannot read update edge file '" + path + "'");
         job.update_edges = std::move(*edges);
         job.estimate_bytes =
             job.update_edges.size() * sizeof(graph::Edge);
@@ -322,17 +318,15 @@ GraphService::addJobAsync(const JobRequest &request)
         // job the engine cannot run before it is journaled, so a
         // restart never replays it. The real algorithm instance is
         // rebuilt at grant time over the job's pinned epoch.
+        std::string restriction;
         {
             auto vpin = catalog_->pin();
             const auto algo =
                 algorithms::makeAlgorithmSpec(request.spec, vpin.graph());
-            job.reject_reason = laneRunRestriction(*algo, options_, false);
+            restriction = laneRunRestriction(*algo, options_, false);
         }
-        if (!job.reject_reason.empty()) {
-            job.state = JobState::Rejected;
-            ++stats_.rejected;
-            return id;
-        }
+        if (!restriction.empty())
+            return reject(job, std::move(restriction));
         job.estimate_bytes =
             policy_.state_budget_bytes ? jobBytesEstimate() : 0;
     }
@@ -341,13 +335,9 @@ GraphService::addJobAsync(const JobRequest &request)
     // outright; one that merely cannot start *now* queues, unless the
     // admission queue itself is past its limit.
     if (policy_.state_budget_bytes &&
-        job.estimate_bytes > policy_.state_budget_bytes) {
-        job.state = JobState::Rejected;
-        job.reject_reason =
-            "job state estimate exceeds the session byte budget";
-        ++stats_.rejected;
-        return id;
-    }
+        job.estimate_bytes > policy_.state_budget_bytes)
+        return reject(job,
+                      "job state estimate exceeds the session byte budget");
     const bool can_start_now =
         active_.size() < policy_.session_threads &&
         (!job.is_update || !update_running_) &&
@@ -364,13 +354,8 @@ GraphService::addJobAsync(const JobRequest &request)
                                      !j->granted;
                           })) -
             1; // exclude this job
-        if (config_.max_queued_jobs &&
-            queued >= config_.max_queued_jobs) {
-            job.state = JobState::Rejected;
-            job.reject_reason = "admission queue full";
-            ++stats_.rejected;
-            return id;
-        }
+        if (config_.max_queued_jobs && queued >= config_.max_queued_jobs)
+            return reject(job, "admission queue full");
         ++stats_.queued_on_arrival;
     }
     ++stats_.admitted;
@@ -383,6 +368,21 @@ GraphService::addJobAsync(const JobRequest &request)
     job.thread = std::thread(&GraphService::jobMain, this, &job);
     reschedule();
     return id;
+}
+
+JobId
+GraphService::reject(Job &job, std::string reason)
+{
+    job.state = JobState::Rejected;
+    job.reject_reason = std::move(reason);
+    ++stats_.rejected;
+    const JobRequest &request = job.request;
+    if (config_.journal && request.journal_id != storage::kNoJournalId) {
+        config_.journal->appendAdmit(job.id, request.spec, request.priority,
+                                     request.tenant, request.journal_id);
+        config_.journal->appendComplete(job.id);
+    }
+    return job.id;
 }
 
 JobId

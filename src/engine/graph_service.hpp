@@ -117,7 +117,8 @@ struct JobRequest
     int priority = 0;
     /** WAL record id to adopt instead of journaling a fresh admission
      *  (restart resume of a compacted pending job; see
-     *  storage::JobJournal). Default: journal a fresh record. */
+     *  storage::JobJournal). A rejected job retires the record, so no
+     *  later restart replays it. Default: journal a fresh record. */
     std::uint64_t journal_id = ~static_cast<std::uint64_t>(0);
 };
 
@@ -400,6 +401,12 @@ class GraphService
     /** True when some waiting job could take a freed slot — the park
      *  predicate (mutex held). */
     bool schedulableWaiting() const;
+
+    /** Mark @p job Rejected for @p reason (mutex held). A rejection is
+     *  final: a resumed job's journal record is retired with it, so the
+     *  next restart does not replay the job only to reject it again.
+     *  @return the job's id. */
+    JobId reject(Job &job, std::string reason);
 
     /** Dense tenant index, interning new names (mutex held). */
     std::uint32_t internTenant(const std::string &name);

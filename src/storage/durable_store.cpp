@@ -911,21 +911,32 @@ DurableStore::loadValues(std::uint64_t version)
 }
 
 bool
+DurableStore::verifyManifest(const Manifest &m,
+                             const graph::DirectedGraph *g,
+                             VerifiedShards *verified)
+{
+    if (g && (m.vertices != g->numVertices() ||
+              m.edges != g->numEdges() ||
+              m.graph_checksum != graphContentChecksum(*g)))
+        return false;
+    for (const auto &entry : m.shards) {
+        if (verified &&
+            verified->count({entry.file, entry.bytes, entry.checksum}))
+            continue;
+        if (!mapVerified(entry).valid())
+            return false;
+        if (verified)
+            verified->emplace(entry.file, entry.bytes, entry.checksum);
+    }
+    return true;
+}
+
+bool
 DurableStore::verifyVersion(std::uint64_t version,
                             const graph::DirectedGraph *g)
 {
-    auto m = readManifest(version);
-    if (!m)
-        return false;
-    if (g && (m->vertices != g->numVertices() ||
-              m->edges != g->numEdges() ||
-              m->graph_checksum != graphContentChecksum(*g)))
-        return false;
-    for (const auto &entry : m->shards) {
-        if (!mapVerified(entry).valid())
-            return false;
-    }
-    return true;
+    const auto m = readManifest(version);
+    return m && verifyManifest(*m, g);
 }
 
 std::uint64_t
@@ -950,17 +961,16 @@ DurableStore::recoverVersion(const graph::DirectedGraph *g)
 }
 
 std::optional<std::vector<graph::Edge>>
-DurableStore::loadDelta(std::uint64_t version)
+DurableStore::readDelta(const Manifest &m, VerifiedShards *verified)
 {
-    auto m = readManifest(version);
-    if (!m)
-        return std::nullopt;
-    const ShardEntry *entry = m->find("delta");
+    const ShardEntry *entry = m.find("delta");
     if (!entry)
         return std::nullopt;
     const MappedFile mapped = mapVerified(*entry);
     if (!mapped.valid())
         return std::nullopt;
+    if (verified)
+        verified->emplace(entry->file, entry->bytes, entry->checksum);
     ByteReader r(mapped.data(), mapped.size());
     std::uint64_t magic = 0;
     std::vector<VertexId> src, dst;
@@ -975,20 +985,40 @@ DurableStore::loadDelta(std::uint64_t version)
     return edges;
 }
 
+std::optional<std::vector<graph::Edge>>
+DurableStore::loadDelta(std::uint64_t version)
+{
+    const auto m = readManifest(version);
+    if (!m)
+        return std::nullopt;
+    return readDelta(*m);
+}
+
 RecoveredChain
 DurableStore::recoverTopologyChain(const graph::DirectedGraph &base)
 {
-    RecoveredChain out;
+    // One read per manifest, newest first. An unreadable manifest is
+    // skipped like a missing one, and value versions never join a
+    // topology chain.
+    std::vector<Manifest> topology;
     const auto versions = listVersions();
+    for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
+        auto m = readManifest(*it);
+        if (m && !m->has_values)
+            topology.push_back(std::move(*m));
+    }
+    // Children reference their parents' topo shard files, so most
+    // entries repeat down the chain; each verifies once.
+    VerifiedShards verified;
+    RecoveredChain out;
 
     // Root: the newest topology version whose fingerprint matches the
     // base graph and whose shards verify.
-    for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
-        const auto m = readManifest(*it);
-        if (!m || m->has_values || m->find("delta"))
+    for (const Manifest &m : topology) {
+        if (m.find("delta"))
             continue;
-        if (verifyVersion(*it, &base)) {
-            out.version = *it;
+        if (verifyManifest(m, &base, &verified)) {
+            out.version = m.version;
             break;
         }
         ++stats_.fallbacks;
@@ -1005,23 +1035,21 @@ DurableStore::recoverTopologyChain(const graph::DirectedGraph &base)
     bool advanced = true;
     while (advanced) {
         advanced = false;
-        for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
-            if (*it <= out.version)
+        for (const Manifest &m : topology) {
+            if (m.version <= out.version)
                 break;
-            const auto m = readManifest(*it);
-            if (!m || m->has_values || m->parent != out.version ||
-                !m->find("delta"))
+            if (m.parent != out.version)
                 continue;
-            const auto delta = loadDelta(*it);
+            const auto delta = readDelta(m, &verified);
             if (!delta)
                 continue;
             graph::GraphDelta gd = graph::GraphBuilder::append(*cur,
                                                                *delta);
-            if (!verifyVersion(*it, &gd.graph)) {
+            if (!verifyManifest(m, &gd.graph, &verified)) {
                 ++stats_.fallbacks;
                 continue;
             }
-            out.version = *it;
+            out.version = m.version;
             out.graph = std::make_shared<graph::DirectedGraph>(
                 std::move(gd.graph));
             cur = out.graph.get();

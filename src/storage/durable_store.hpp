@@ -20,6 +20,9 @@
  *                           the graph's CSR on load, so a shard's bytes
  *                           stay valid across evolving-graph appends
  *                           that renumber edges)
+ *   delta.v<N>.shard        the batch edges a live-graph epoch adds
+ *                           over its parent version (replayed by
+ *                           recoverTopologyChain)
  *   vvals.v<N>.shard        V_val master array + activation seed
  *   evals.p<q>.v<N>.shard   partition q's E_val slice
  *   jobs.wal                append-only job journal (see JobJournal)
@@ -43,17 +46,23 @@
  * returns the first whose shards all exist with matching sizes and
  * checksums (and whose graph fingerprint matches, when a graph is
  * given) — torn or corrupt newest versions are skipped, falling back
- * down the lineage. Loads are mmap-backed per shard with fully
- * bounds-checked deserialization, so a short or corrupt file can never
- * crash the reader.
+ * down the lineage. recoverTopologyChain() reads each manifest once and
+ * verifies each shard file once per call: a named shard is immutable,
+ * so one successful check stands for every manifest naming the same
+ * (file, bytes, checksum) entry, while a failed check is never
+ * remembered. Loads are mmap-backed per shard with fully bounds-checked
+ * deserialization, so a short or corrupt file can never crash the
+ * reader.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -199,12 +208,18 @@ class DurableStore
     /**
      * Recover the deepest live-graph epoch: find the newest topology
      * version whose fingerprint matches @p base and whose shards verify
-     * (the chain root), then greedily follow children that carry a
-     * delta shard — replaying each delta through GraphBuilder::append
-     * and verifying the child's fingerprint against the rebuilt graph —
-     * until no child verifies. Torn or corrupt tips are simply not
-     * reached, so a SIGKILL mid-epoch-commit lands on the last fully
-     * committed epoch.
+     * (the chain root), then repeatedly take the newest child that
+     * carries a delta shard, replays it through GraphBuilder::append to
+     * a graph matching its fingerprint, and verifies — until no child
+     * does. Torn or corrupt tips are simply not reached, so a SIGKILL
+     * mid-epoch-commit lands on the last fully committed epoch.
+     *
+     * Every manifest is read once, newest first, and each shard entry
+     * is verified at most once per call (see the file comment), so a
+     * link costs its replay, its fingerprint and the shards it adds
+     * (its own meta and delta, plus any new topo shards) rather than
+     * a rescan of every newer manifest and every inherited topo shard.
+     * A link parses its delta from the mapping it verifies.
      */
     RecoveredChain recoverTopologyChain(const graph::DirectedGraph &base);
 
@@ -277,6 +292,11 @@ class DurableStore
     const StoreStats &stats() const { return stats_; }
 
   private:
+    /** Shard entries that verified during one recovery, keyed by (file,
+     *  bytes, checksum); failed checks are never recorded. */
+    using VerifiedShards =
+        std::set<std::tuple<std::string, std::uint64_t, std::uint64_t>>;
+
     std::string shardFile(const std::string &name,
                           std::uint64_t version) const;
     std::string manifestFile(std::uint64_t version) const;
@@ -286,6 +306,15 @@ class DurableStore
                     ShardEntry &entry);
     /** Map + verify (size, checksum) one shard of @p m. */
     MappedFile mapVerified(const ShardEntry &entry);
+    /** Whether @p m's fingerprint matches @p g (when given) and every
+     *  shard verifies. Entries already in @p verified are not mapped
+     *  again; new successes are added to it (when given). */
+    bool verifyManifest(const Manifest &m, const graph::DirectedGraph *g,
+                        VerifiedShards *verified = nullptr);
+    /** Map, verify and parse @p m's delta shard, adding it to
+     *  @p verified (when given) once it verifies. */
+    std::optional<std::vector<graph::Edge>>
+    readDelta(const Manifest &m, VerifiedShards *verified = nullptr);
     bool writeManifest(const Manifest &m);
     void emitCommit(std::uint64_t version, std::uint64_t shards_written);
 

@@ -3,15 +3,18 @@
  * Durable-store tests (DESIGN.md §16): crash-consistent versioned
  * commits, lineage recovery with fallback past corrupted versions, the
  * FileOps fault-injection matrix, warm substrate starts that skip
- * decomposition, engine checkpoint flush-through with restart-from-disk
- * equivalence, and job-journal replay.
+ * decomposition, epoch-chain recovery checked against a reference walk
+ * and a read budget, engine checkpoint flush-through with
+ * restart-from-disk equivalence, and job-journal replay.
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -100,6 +103,76 @@ expectIdenticalRuns(const metrics::RunReport &a,
     EXPECT_EQ(a.sim_cycles, b.sim_cycles) << tag;
 }
 
+/** One committed topology version of a test epoch chain. */
+struct Epoch
+{
+    std::uint64_t version = 0;
+    std::shared_ptr<const graph::DirectedGraph> graph;
+    partition::Preprocessed pre;
+};
+
+/** A chain walk's outcome, with the fallbacks it counted. */
+struct WalkResult
+{
+    std::uint64_t version = 0;
+    std::size_t links = 0;
+    std::uint64_t fallbacks = 0;
+    std::shared_ptr<graph::DirectedGraph> graph;
+};
+
+/**
+ * The epoch-chain walk built from the public API alone: per link it
+ * rescans every newer manifest and verifies every shard of each
+ * candidate anew. Same rule as recoverTopologyChain: the
+ * newest verifying root, then repeatedly the newest delta child whose
+ * replayed graph matches its fingerprint and whose shards verify.
+ */
+WalkResult
+referenceWalk(DurableStore &store, const graph::DirectedGraph &base)
+{
+    WalkResult out;
+    const auto versions = store.listVersions();
+    for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
+        const auto m = store.readManifest(*it);
+        if (!m || m->has_values || m->find("delta"))
+            continue;
+        if (store.verifyVersion(*it, &base)) {
+            out.version = *it;
+            break;
+        }
+        ++out.fallbacks;
+    }
+    if (out.version == 0)
+        return out;
+    const graph::DirectedGraph *cur = &base;
+    for (bool advanced = true; advanced;) {
+        advanced = false;
+        for (auto it = versions.rbegin();
+             it != versions.rend() && *it > out.version; ++it) {
+            const auto m = store.readManifest(*it);
+            if (!m || m->has_values || m->parent != out.version ||
+                !m->find("delta"))
+                continue;
+            const auto delta = store.loadDelta(*it);
+            if (!delta)
+                continue;
+            auto gd = graph::GraphBuilder::append(*cur, *delta);
+            if (!store.verifyVersion(*it, &gd.graph)) {
+                ++out.fallbacks;
+                continue;
+            }
+            out.version = *it;
+            out.graph =
+                std::make_shared<graph::DirectedGraph>(std::move(gd.graph));
+            cur = out.graph.get();
+            ++out.links;
+            advanced = true;
+            break;
+        }
+    }
+    return out;
+}
+
 class DurableStoreTest : public ::testing::Test
 {
   protected:
@@ -140,6 +213,82 @@ class DurableStoreTest : public ::testing::Test
         byte = static_cast<char>(byte ^ 0x5a);
         f.seekp(size / 2);
         f.write(&byte, 1);
+    }
+
+    /** Commit g_/pre_ as a root topology version. */
+    Epoch
+    commitRoot(DurableStore &store)
+    {
+        Epoch root;
+        root.version = store.commitTopology(g_, pre_);
+        EXPECT_NE(root.version, 0u);
+        root.graph = std::make_shared<const graph::DirectedGraph>(g_);
+        root.pre = pre_;
+        return root;
+    }
+
+    /** Append @p edges random edges (seeded by @p seed) to @p parent's
+     *  graph and commit the result as its delta child. */
+    Epoch
+    commitChild(DurableStore &store, const Epoch &parent,
+                std::uint64_t seed, std::size_t edges = 8)
+    {
+        std::vector<graph::Edge> batch;
+        SplitMix64 rng(seed);
+        const VertexId n = parent.graph->numVertices();
+        while (batch.size() < edges) {
+            const auto s = static_cast<VertexId>(rng.nextBounded(n + 4));
+            const auto d = static_cast<VertexId>(rng.nextBounded(n + 4));
+            if (s != d)
+                batch.push_back({s, d, 1.0});
+        }
+        auto delta = graph::GraphBuilder::append(*parent.graph, batch);
+        EXPECT_FALSE(delta.fresh.empty());
+        partition::Preprocessed prev = parent.pre;
+        prev.sorted_adjacency = nullptr; // the parent keeps its cache
+        Epoch child;
+        child.pre = partition::appendPreprocess(std::move(prev),
+                                                delta.graph, delta, popts_);
+        child.version = store.commitTopology(delta.graph, child.pre,
+                                             parent.version, &delta.fresh);
+        EXPECT_NE(child.version, 0u);
+        child.graph = std::make_shared<const graph::DirectedGraph>(
+            std::move(delta.graph));
+        return child;
+    }
+
+    /** A root plus @p epochs - 1 delta links, each on the previous. */
+    std::vector<Epoch>
+    commitChain(DurableStore &store, std::size_t epochs)
+    {
+        std::vector<Epoch> chain = {commitRoot(store)};
+        while (chain.size() < epochs)
+            chain.push_back(commitChild(store, chain.back(), chain.size()));
+        return chain;
+    }
+
+    /** recoverTopologyChain on a fresh store agrees with referenceWalk
+     *  (version, links, fallbacks, recovered graph) and lands on
+     *  @p want after @p want_fallbacks fallbacks. */
+    void
+    expectRecoveryMatchesReference(const Epoch &want,
+                                   std::uint64_t want_fallbacks)
+    {
+        DurableStore reference(this->store());
+        const WalkResult ref = referenceWalk(reference, g_);
+        DurableStore store(this->store());
+        const RecoveredChain got = store.recoverTopologyChain(g_);
+
+        EXPECT_EQ(ref.version, want.version);
+        EXPECT_EQ(ref.fallbacks, want_fallbacks);
+        EXPECT_EQ(got.version, ref.version);
+        EXPECT_EQ(got.links, ref.links);
+        EXPECT_EQ(store.stats().fallbacks, ref.fallbacks);
+        ASSERT_EQ(got.graph == nullptr, ref.graph == nullptr);
+        const graph::DirectedGraph &recovered =
+            got.graph ? *got.graph : g_;
+        EXPECT_EQ(recovered.numEdges(), want.graph->numEdges());
+        EXPECT_TRUE(reference.verifyVersion(ref.version, &recovered));
     }
 
     std::filesystem::path dir_;
@@ -496,6 +645,140 @@ TEST_F(DurableStoreTest, OverlongManifestVersionNameIsIgnored)
     const auto versions = check.listVersions();
     ASSERT_EQ(versions.size(), 1u);
     EXPECT_EQ(versions[0], v1);
+}
+
+// ------------------------------------------------ epoch-chain recovery
+
+TEST_F(DurableStoreTest, ChainRecoveryMatchesReferenceOnLongChain)
+{
+    DurableStore store(this->store());
+    const auto chain = commitChain(store, 12);
+    expectRecoveryMatchesReference(chain.back(), 0);
+}
+
+TEST_F(DurableStoreTest, ChainRecoverySkipsSiblingWithCorruptDelta)
+{
+    // v2 and v3 are both delta children of v1; the newer one's delta
+    // shard is corrupt, so the walk takes v2 and then v2's child v4.
+    // A child whose delta cannot be read is no fallback.
+    DurableStore store(this->store());
+    const Epoch root = commitRoot(store);
+    const Epoch older = commitChild(store, root, 21);
+    const Epoch newer = commitChild(store, root, 22);
+    const Epoch tip = commitChild(store, older, 23);
+    ASSERT_EQ(newer.version, 3u);
+    corrupt("delta.v3.shard");
+    expectRecoveryMatchesReference(tip, 0);
+}
+
+TEST_F(DurableStoreTest, ChainRecoveryStopsBelowCorruptMidChainMeta)
+{
+    DurableStore store(this->store());
+    const auto chain = commitChain(store, 6);
+    corrupt("meta.v" + std::to_string(chain[3].version) + ".shard");
+    expectRecoveryMatchesReference(chain[2], 1);
+}
+
+TEST_F(DurableStoreTest, ChainRecoveryPassesValueVersionBetweenEpochs)
+{
+    // v3 is a value plane on v2; the topology chain runs v1 -> v2 ->
+    // v4 -> v5 around it.
+    DurableStore store(this->store());
+    const Epoch root = commitRoot(store);
+    const Epoch mid = commitChild(store, root, 31);
+    std::vector<Value> v_val(mid.graph->numVertices(), 1.0);
+    std::vector<Value> e_val(eValSize(mid.pre), 2.0);
+    ASSERT_EQ(store.commitValues(*mid.graph, mid.pre, v_val, e_val, {},
+                                 mid.version),
+              3u);
+    const Epoch next = commitChild(store, mid, 32);
+    const Epoch tip = commitChild(store, next, 33);
+    expectRecoveryMatchesReference(tip, 0);
+}
+
+TEST_F(DurableStoreTest, ChainRecoveryIgnoresTornTipManifest)
+{
+    DurableStore store(this->store());
+    const auto chain = commitChain(store, 5);
+    const auto tip =
+        dir_ / ("MANIFEST.v" + std::to_string(chain.back().version) +
+                ".json");
+    std::filesystem::resize_file(tip, std::filesystem::file_size(tip) / 2);
+    expectRecoveryMatchesReference(chain[3], 0);
+}
+
+TEST_F(DurableStoreTest, ShortReadsDuringChainRecoveryStayOnTheLineage)
+{
+    std::vector<Epoch> chain;
+    std::size_t root_files = 0;
+    {
+        DurableStore store(this->store());
+        chain = commitChain(store, 4);
+        root_files = 1 + store.readManifest(chain[0].version)->shards.size();
+    }
+    FaultyFileOps counted(FileFaultPlan{});
+    {
+        DurableStore store(this->store(), &counted);
+        ASSERT_EQ(store.recoverTopologyChain(g_).version,
+                  chain.back().version);
+    }
+    // Truncate each read in turn, one past the last (an unfaulted run).
+    // Recovery never crashes and lands on the tip or an ancestor whose
+    // topology then loads. Only a short read of one of the root's own
+    // files can leave nothing: there is no older root to fall back to.
+    std::size_t nothing = 0;
+    std::uint64_t last = 0;
+    for (long n = 0; n <= counted.readsSeen(); ++n) {
+        FileFaultPlan plan;
+        plan.short_read_at = n;
+        FaultyFileOps ops(plan);
+        DurableStore store(this->store(), &ops);
+        const RecoveredChain got = store.recoverTopologyChain(g_);
+        last = got.version;
+        if (got.version == 0) {
+            ++nothing;
+            continue;
+        }
+        const auto it = std::find_if(
+            chain.begin(), chain.end(),
+            [&](const Epoch &e) { return e.version == got.version; });
+        ASSERT_NE(it, chain.end()) << "short read at " << n;
+        EXPECT_EQ(got.links, static_cast<std::size_t>(it - chain.begin()))
+            << "short read at " << n;
+        DurableStore clean(this->store());
+        EXPECT_TRUE(clean.loadTopology(got.version,
+                                       got.graph ? *got.graph : g_)
+                        .has_value())
+            << "short read at " << n;
+    }
+    EXPECT_LE(nothing, root_files);
+    EXPECT_EQ(last, chain.back().version);
+}
+
+TEST_F(DurableStoreTest, ChainRecoveryReadsEachFileOnce)
+{
+    // One mapping per manifest plus one per distinct shard file: each
+    // link adds a meta, a delta and a topo shard or so, while most of
+    // its topo entries name files its ancestors already verified.
+    for (const std::size_t epochs : {8, 16, 32}) {
+        std::filesystem::remove_all(dir_);
+        DurableStore writer(this->store());
+        const auto chain = commitChain(writer, epochs);
+        std::set<std::string> files;
+        for (const Epoch &e : chain) {
+            const auto m = writer.readManifest(e.version);
+            ASSERT_TRUE(m.has_value()) << "version " << e.version;
+            for (const ShardEntry &entry : m->shards)
+                files.insert(entry.file);
+        }
+        FaultyFileOps ops(FileFaultPlan{});
+        DurableStore store(this->store(), &ops);
+        const RecoveredChain got = store.recoverTopologyChain(g_);
+        ASSERT_EQ(got.version, chain.back().version) << epochs;
+        EXPECT_LE(static_cast<std::size_t>(ops.readsSeen()),
+                  chain.size() + files.size())
+            << epochs << " epochs";
+    }
 }
 
 // --------------------------------------- engine checkpoint flush-through

@@ -309,7 +309,9 @@ TEST(GraphService, RejectsLaneJobsTheEngineCannotRun)
 {
     // A lane job under a fault plan, or in VertexAsync mode, is
     // rejected at admission with the engine's reason and is never
-    // journaled; the jobs beside it complete.
+    // journaled; the jobs beside it complete. A lane job resumed from
+    // the journal (recorded by a session that could run it) is
+    // rejected too, and its record is retired.
     const auto g = testGraph();
     std::string err;
     engine::EngineOptions faulty = testOptions();
@@ -317,21 +319,40 @@ TEST(GraphService, RejectsLaneJobsTheEngineCannotRun)
     ASSERT_TRUE(err.empty()) << err;
     engine::EngineOptions vertex_async = testOptions();
     vertex_async.mode = engine::ExecutionMode::VertexAsync;
-    const std::pair<engine::EngineOptions, std::string> sessions[] = {
-        {faulty, "do not support fault tolerance or a durable store"},
+    const char *fault_reason =
+        "do not support fault tolerance or a durable store";
+    struct Session
+    {
+        engine::EngineOptions opts;
+        std::string reason;
+        bool resumed = false;
+    };
+    const Session sessions[] = {
+        {faulty, fault_reason},
         {vertex_async, "require a path mode"},
+        {faulty, fault_reason, true},
     };
     const auto wal = std::filesystem::temp_directory_path() /
                      ("digraph_lane_reject_" + std::to_string(::getpid()) +
                       ".wal");
-    for (const auto &[opts, reason] : sessions) {
+    for (const auto &[opts, reason, resumed] : sessions) {
         std::filesystem::remove(wal);
+        engine::JobRequest ppr_request{"ppr:0,1,2"};
+        if (resumed) {
+            // A session without a fault plan journals the lane job
+            // before it runs; this one adopts the record.
+            storage::JobJournal earlier(wal.string());
+            ASSERT_TRUE(earlier.appendAdmit(0, ppr_request.spec, 0, ""));
+            const auto pending = earlier.replay();
+            ASSERT_EQ(pending.size(), 1u);
+            ppr_request.journal_id = pending[0].id;
+        }
         storage::JobJournal journal(wal.string());
         engine::ServiceConfig config;
         config.journal = &journal;
         engine::GraphService service(g, opts, config);
         const auto sssp = service.addJobAsync("sssp:0");
-        const auto ppr = service.addJobAsync("ppr:0,1,2");
+        const auto ppr = service.addJobAsync(ppr_request);
         const auto wcc = service.addJobAsync("wcc");
         const auto status = service.poll(ppr);
         EXPECT_EQ(status.state, engine::JobState::Rejected) << reason;
