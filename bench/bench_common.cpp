@@ -186,6 +186,10 @@ runSystemOn(const std::string &system, const graph::DirectedGraph &g,
     return eng.run(*algo);
 }
 
+namespace {
+
+/** Reports stored by registerComparison(), keyed
+ *  "system/algorithm/dataset". */
 std::map<std::string, metrics::RunReport> &
 reportRegistry()
 {
@@ -193,9 +197,10 @@ reportRegistry()
     return registry;
 }
 
+} // namespace
+
 void
-registerComparison(const std::string &prefix,
-                   const std::vector<std::string> &systems,
+registerComparison(const std::vector<std::string> &systems,
                    const std::vector<std::string> &algos)
 {
     for (const auto &system : systems) {
@@ -204,8 +209,8 @@ registerComparison(const std::string &prefix,
                 const std::string key = system + "/" + algo + "/" +
                                         graph::datasetName(d);
                 benchmark::RegisterBenchmark(
-                    (prefix + "/" + key).c_str(),
-                    [system, algo, d](benchmark::State &state) {
+                    key.c_str(),
+                    [system, algo, d, key](benchmark::State &state) {
                         metrics::RunReport r;
                         for (auto _ : state)
                             r = runSystem(system, d, algo, benchGpus());
@@ -215,9 +220,7 @@ registerComparison(const std::string &prefix,
                         state.counters["traffic_bytes"] =
                             static_cast<double>(r.trafficVolume());
                         state.counters["utilization"] = r.utilization;
-                        reportRegistry()[system + "/" + algo + "/" +
-                                         graph::datasetName(d)] =
-                            std::move(r);
+                        reportRegistry()[key] = std::move(r);
                     })
                     ->Iterations(1)
                     ->Unit(benchmark::kMillisecond);

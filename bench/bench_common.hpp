@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared infrastructure for the per-figure bench binaries: dataset and
- * engine caches, uniform system runners, and the paper-style table
- * printer. Each bench binary registers its experiment points as
- * google-benchmark benchmarks (one iteration each), then prints the rows
- * the corresponding paper table/figure reports.
+ * Shared infrastructure for the bench binaries: dataset and engine
+ * caches, uniform system runners, and the paper-style table printer.
+ * Each bench binary registers its experiment points as google-benchmark
+ * benchmarks (one iteration each), then prints the rows of the paper
+ * tables/figures it reproduces.
  *
  * Environment knobs:
  *   DIGRAPH_BENCH_SCALE  dataset scale factor (default 0.4)
@@ -103,16 +103,11 @@ class Table
     std::vector<Row> rows_;
 };
 
-/** Global registry of reports produced by registered benchmarks, keyed
- *  "system/algorithm/dataset". */
-std::map<std::string, metrics::RunReport> &reportRegistry();
-
 /**
- * Register one google-benchmark per (system x algorithm x dataset) point;
- * each runs once and stores its RunReport in reportRegistry().
+ * Register one google-benchmark "system/algorithm/dataset" per point of
+ * the grid; each runs once and stores its RunReport for report().
  */
-void registerComparison(const std::string &prefix,
-                        const std::vector<std::string> &systems,
+void registerComparison(const std::vector<std::string> &systems,
                         const std::vector<std::string> &algos);
 
 /** Fetch a report stored by registerComparison(). */

@@ -107,8 +107,8 @@ main()
     WallTimer naive_timer;
     std::vector<metrics::RunReport> naive_reports;
     for (const auto &spec : job_specs) {
-        partition::Preprocessed copy = substrate->pre;
-        engine::DiGraphEngine eng(g, std::move(copy), opts);
+        engine::DiGraphEngine eng(
+            g, engine::EngineSubstrate::build(g, substrate->pre), opts);
         const auto algo = algorithms::makeAlgorithmSpec(spec, g);
         naive_reports.push_back(eng.run(*algo));
         topo_naive += eng.substrate()->memoryBytes();

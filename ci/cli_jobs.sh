@@ -20,12 +20,19 @@
 #             "--- job" lines for sssp:0 and wcc and a REJECTED line for
 #             the ppr spec naming the restriction; a restart on the same
 #             store runs no ppr job
+#   lostroot  a store whose root version (v1) carries an epoch (v2)
+#             but has lost a topo shard: --jobs wcc and --algo wcc each
+#             exit 1 naming version 1 and the store, and write nothing
+#             (no cold-start root that would orphan v2); with the shard
+#             restored, --jobs wcc warm-starts on epoch version 2
 #
-# Usage: ci/cli_jobs.sh /path/to/digraph_cli list|empty|baseline|poison
+# Usage: ci/cli_jobs.sh /path/to/digraph_cli MODE
+#   MODE: list|empty|baseline|poison|lostroot
 # Exit codes: 0 ok, 1 check failure.
 set -u
 
-USAGE="usage: cli_jobs.sh /path/to/digraph_cli list|empty|baseline|poison"
+USAGE="usage: cli_jobs.sh /path/to/digraph_cli list|empty|baseline|poison|\
+lostroot"
 CLI="${1:?$USAGE}"
 MODE="${2:?$USAGE}"
 
@@ -97,6 +104,40 @@ poison)
     if printf '%s\n' "$OUT" | grep -q "ppr"; then
         fail "restart: the rejected ppr job came back"
     fi
+    ;;
+lostroot)
+    WORK=$(mktemp -d) || { echo "cli_jobs: mktemp failed" >&2; exit 1; }
+    trap 'rm -rf "$WORK"' EXIT
+    STORE="$WORK/store"
+    awk 'BEGIN { for (i = 0; i < 50; ++i) print i, (i * 31 + 7) % 89, 1 }' \
+        > "$WORK/batch.txt"
+    printf 'wcc\nupdate %s\n' "$WORK/batch.txt" > "$WORK/jobs.txt"
+    OUT=$("$CLI" --dataset dblp --scale 0.05 --serve "$WORK/jobs.txt" \
+        --store "$STORE" 2>&1)
+    STATUS=$?
+    [ "$STATUS" -eq 0 ] || fail "setup: exit status $STATUS, expected 0"
+    printf '%s\n' "$OUT" | grep -q "epochs +1" ||
+        fail "setup: the update committed no epoch"
+    mv "$STORE/topo.p0.v1.shard" "$WORK/" ||
+        fail "setup: the root has no topo.p0.v1.shard"
+    BEFORE=$(cd "$STORE" && cksum ./*)
+    for RUN in "--jobs wcc" "--algo wcc"; do
+        # $RUN is left unquoted to split into the flag and its value.
+        OUT=$("$CLI" --dataset dblp --scale 0.05 $RUN --store "$STORE" 2>&1)
+        STATUS=$?
+        [ "$STATUS" -eq 1 ] ||
+            fail "$RUN: exit status $STATUS, expected 1"
+        printf '%s\n' "$OUT" | grep -q "version 1 in '$STORE'" ||
+            fail "$RUN: missing diagnostic naming version 1 and the store"
+        [ "$(cd "$STORE" && cksum ./*)" = "$BEFORE" ] ||
+            fail "$RUN: the store changed"
+    done
+    mv "$WORK/topo.p0.v1.shard" "$STORE/"
+    OUT=$("$CLI" --dataset dblp --scale 0.05 --jobs wcc --store "$STORE" 2>&1)
+    STATUS=$?
+    [ "$STATUS" -eq 0 ] || fail "restored: exit status $STATUS, expected 0"
+    printf '%s\n' "$OUT" | grep -q "epoch version 2 " ||
+        fail "restored: did not warm-start on epoch version 2"
     ;;
 *)
     echo "cli_jobs: unknown mode '$MODE'" >&2

@@ -56,28 +56,6 @@ DiGraphEngine::DiGraphEngine(const graph::DirectedGraph &g,
 }
 
 DiGraphEngine::DiGraphEngine(const graph::DirectedGraph &g,
-                             partition::Preprocessed pre,
-                             EngineOptions options)
-    : g_(g), options_(std::move(options)),
-      sub_([&] {
-          if (const std::string err = options_.validate(); !err.empty())
-              fatal("DiGraphEngine: invalid options: ", err);
-          if (pre.paths.numEdges() != g.numEdges()) {
-              fatal("DiGraphEngine: prebuilt preprocessing covers ",
-                    pre.paths.numEdges(), " edges but the graph has ",
-                    g.numEdges());
-          }
-          return EngineSubstrate::build(g, std::move(pre));
-      }()),
-      pre_(sub_->pre), sync_(sub_->sync), sched_(sub_->dispatcher),
-      transport_(options_.platform)
-{
-    ft_enabled_ = !options_.faults.empty() || options_.store != nullptr;
-    plane_.bindLayout(sub_->layout, g_.numVertices());
-    plane_.attach(&sync_);
-}
-
-DiGraphEngine::DiGraphEngine(const graph::DirectedGraph &g,
                              std::shared_ptr<const EngineSubstrate> sub,
                              EngineOptions options)
     : g_(g), options_(std::move(options)),

@@ -132,16 +132,6 @@ class DiGraphEngine
                            EngineOptions options = {});
 
     /**
-     * Adopt a prebuilt preprocessing result for @p g instead of running
-     * the pipeline (evolving-graph incremental ingestion: the caller
-     * produced @p pre via preprocess() or appendPreprocess()). Only the
-     * substrate indexes and storage arrays are built here.
-     * @pre pre covers exactly g's edge set (checked).
-     */
-    DiGraphEngine(const graph::DirectedGraph &g,
-                  partition::Preprocessed pre, EngineOptions options);
-
-    /**
      * Share a prebuilt substrate (concurrent jobs over one immutable
      * Preprocessed — see GraphService): only this job's ValuePlane and
      * Transport are allocated.

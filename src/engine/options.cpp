@@ -7,8 +7,6 @@ namespace digraph::engine {
 void
 EngineOptions::resolvePartitionBudget(EdgeId num_edges)
 {
-    if (!auto_partition_budget)
-        return;
     const std::size_t units = static_cast<std::size_t>(
         std::max(1u, 16 * platform.smx_per_device));
     preprocess.partition.edges_per_partition = std::max<std::size_t>(
@@ -44,8 +42,6 @@ EngineOptions::validate() const
     if (!faults.empty()) {
         if (checkpoint_interval == 0)
             return "checkpoint_interval must be > 0 with faults enabled";
-        if (!(transfer_backoff_cycles >= 0.0))
-            return "transfer_backoff_cycles must be >= 0";
         if (const std::string err = faults.validate(pc); !err.empty())
             return err;
     }

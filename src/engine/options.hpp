@@ -49,11 +49,9 @@ struct EngineOptions
     ExecutionMode mode = ExecutionMode::PathAsync;
     /** Simulated platform. */
     gpusim::PlatformConfig platform;
-    /** CPU preprocessing options (partition budget is derived from the
-     *  platform when auto_partition_budget is set). */
+    /** CPU preprocessing options (the partition budget is derived from
+     *  the platform geometry, see resolvePartitionBudget). */
     partition::PreprocessOptions preprocess;
-    /** Derive edges_per_partition from the platform geometry. */
-    bool auto_partition_budget = true;
     /** Steal suspended paths to free SMXs (Section 3.2.2). */
     bool work_stealing = true;
     /** Shared-memory proxy vertices for high in-degree masters. */
@@ -88,11 +86,6 @@ struct EngineOptions
      *  enabled. Must be >= 1; larger intervals checkpoint less often
      *  but lose more work per recovery. */
     std::size_t checkpoint_interval = 4;
-    /** Dropped-transfer retries before the run hard-aborts. */
-    std::size_t max_transfer_retries = 6;
-    /** Backoff after the first dropped attempt, simulated cycles; each
-     *  further retry doubles it. */
-    double transfer_backoff_cycles = 200.0;
     /** Device-loss recoveries tolerated before the run hard-aborts. */
     std::size_t max_recoveries = 4;
     /** Run the post-run invariant checker (convergence residual,
@@ -123,13 +116,12 @@ struct EngineOptions
     std::string validate() const;
 
     /**
-     * Resolve auto_partition_budget against a graph with @p num_edges
+     * Resolve the partition budget against a graph with @p num_edges
      * edges: derives preprocess.partition.edges_per_partition from the
-     * platform geometry (no-op when auto_partition_budget is off). The
-     * budget is independent of the device count so scaling studies
-     * compare identical partitionings. The engine constructor and the
-     * evolving engine share this, so full and incremental preprocessing
-     * cut partitions with the same budget.
+     * platform geometry. The budget is independent of the device count
+     * so scaling studies compare identical partitionings. The engine
+     * constructor and the evolving engine share this, so full and
+     * incremental preprocessing cut partitions with the same budget.
      */
     void resolvePartitionBudget(EdgeId num_edges);
 };

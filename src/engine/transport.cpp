@@ -254,8 +254,7 @@ Transport::transferFaultPenalty(std::uint64_t bytes,
     if (!ft_enabled)
         return 0.0;
     const gpusim::TransferOutcome outcome = injector.attemptTransfer(
-        static_cast<unsigned>(options_->max_transfer_retries),
-        options_->transfer_backoff_cycles);
+        kMaxTransferRetries, kTransferBackoffCycles);
     if (outcome.attempts > 1) {
         const std::uint64_t retries = outcome.attempts - 1;
         counters_->add(metrics::Counter::TransferRetries, retries);
@@ -271,8 +270,7 @@ Transport::transferFaultPenalty(std::uint64_t bytes,
     if (!outcome.delivered) {
         fatal("DiGraphEngine: transfer of ", bytes,
               " bytes permanently failed after ", outcome.attempts,
-              " attempts (max_transfer_retries=",
-              options_->max_transfer_retries, ")");
+              " attempts (retry budget ", kMaxTransferRetries, ")");
     }
     return outcome.delay_cycles;
 }

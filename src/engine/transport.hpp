@@ -132,9 +132,15 @@ class Transport
                            const std::vector<PartitionId> &activated_parts,
                            double ready, metrics::RunReport &report);
 
+    /** Dropped-transfer retries before the run hard-aborts. */
+    static constexpr unsigned kMaxTransferRetries = 6;
+    /** Backoff after the first dropped attempt, simulated cycles; each
+     *  further retry doubles it. */
+    static constexpr double kTransferBackoffCycles = 200.0;
+
     /** Issue-time penalty of the transfer-drop coin for one transfer of
      *  @p bytes: 0 when delivered first try, the accumulated exponential
-     *  backoff otherwise; hard-aborts when the retry budget is
+     *  backoff otherwise; hard-aborts when kMaxTransferRetries is
      *  exhausted. Every simulated transfer issue passes through this. */
     double transferFaultPenalty(std::uint64_t bytes,
                                 metrics::RunReport &report);

@@ -355,7 +355,8 @@ TEST_F(DurableStoreTest, EngineRunsIdenticallyFromLoadedTopology)
     engine::EngineOptions opts;
     const auto algo = std::make_shared<algorithms::Sssp>(0);
 
-    engine::DiGraphEngine cold(g_, partition::Preprocessed(pre_), opts);
+    engine::DiGraphEngine cold(
+        g_, engine::EngineSubstrate::build(g_, pre_), opts);
     const auto cold_report = cold.run(*algo);
 
     auto sub = engine::EngineSubstrate::openFrom(store, g_);

@@ -558,7 +558,7 @@ TEST(EvolvingIncremental, BitIdenticalAcrossDecomposeThreads)
 
 TEST(EvolvingIncremental, Fig11MultiBatchSmoke)
 {
-    // Miniature of the bench/fig11_updates ingestion workload: a
+    // Miniature of the bench/evolving_graphs ingestion study: a
     // sequence of insertion batches, warm sssp after each, incremental
     // ingestion throughout, correct final state.
     engine::EvolvingEngine evolving(testGraph(87, 1500, 9000),

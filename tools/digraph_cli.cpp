@@ -59,11 +59,15 @@
  * §16, digraph systems only). A run warm-starts from the newest
  * on-disk topology version whose checksums verify for the loaded graph
  * (skipping the whole decomposition pipeline) and falls back to a cold
- * preprocess + commit when nothing verifies; --store-version pins an
- * exact version instead (fatal when it does not verify). Single runs
- * additionally flush merge-barrier checkpoints through the store and
- * --serve / --jobs sessions journal admitted/completed jobs to
- * DIR/jobs.wal, re-admitting the pending set on restart.
+ * preprocess + commit when nothing verifies. When nothing verifies but
+ * a version was committed for a graph of the loaded graph's size, its
+ * files failed to read: the run exits 1 and writes nothing, since a
+ * fresh root would orphan every epoch chained from the unreadable one.
+ * --store-version pins an exact version instead (fatal when it does
+ * not verify). Single runs additionally flush merge-barrier checkpoints
+ * through the store and --serve / --jobs sessions journal
+ * admitted/completed jobs to DIR/jobs.wal, re-admitting the pending set
+ * on restart.
  *
  * --faults takes a deterministic injection plan (digraph systems only),
  * e.g. "seed=7,device=1@50000,xfer=0.01,smx=0.3@20000x16"; --verify runs
@@ -592,6 +596,32 @@ parseJobList(const std::string &list)
     return requests;
 }
 
+/**
+ * Called when recovery found nothing for @p g: exit 1 when @p store
+ * still holds a version committed for a graph with @p g's vertex and
+ * edge counts. That version's files failed to read, and a cold start
+ * would commit a fresh root that every later restart anchors on,
+ * abandoning the epochs chained from it. A store holding only other
+ * graphs' versions returns (cold start).
+ */
+void
+refuseLostRoot(const storage::DurableStore &store,
+               const graph::DirectedGraph &g)
+{
+    const auto versions = store.listVersions();
+    for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
+        const auto m = store.readManifest(*it);
+        if (m && m->vertices == g.numVertices() &&
+            m->edges == g.numEdges()) {
+            fatal("digraph_cli: --store: version ", *it, " in '",
+                  store.dir(),
+                  "' was committed for this graph but does not "
+                  "verify; restore its files rather than cold-start "
+                  "over its epoch chain");
+        }
+    }
+}
+
 } // namespace
 
 int
@@ -768,6 +798,7 @@ main(int argc, char **argv)
             }
         }
         if (!sub) {
+            refuseLostRoot(*store, g);
             eopts.resolvePartitionBudget(g.numEdges());
             sub = engine::EngineSubstrate::build(
                 g, partition::preprocess(g, eopts.preprocess));
@@ -807,24 +838,6 @@ main(int argc, char **argv)
         sconfig.with_traces = want_trace;
         sconfig.trace = want_trace ? &sink : nullptr;
 
-        // With a store, admitted jobs a crashed session never finished
-        // are replayed from the WAL in front of the script's jobs. The
-        // WAL is compacted (atomic rewrite to exactly the pending set)
-        // rather than deleted, and each resumed job adopts its surviving
-        // record via journal_id — so a crash at any point of the restart
-        // replays the same pending set instead of losing it.
-        std::unique_ptr<storage::JobJournal> journal;
-        std::vector<storage::JobJournal::PendingJob> resumed;
-        if (store) {
-            journal = std::make_unique<storage::JobJournal>(
-                store->journalPath());
-            resumed = journal->replay();
-            if (!journal->compact(resumed)) {
-                std::printf("store         WARNING: journal compaction "
-                            "failed; keeping the old WAL\n");
-            }
-            sconfig.journal = journal.get();
-        }
         // Epoch-chain recovery (DESIGN.md §18): restart on the deepest
         // fully committed topology version — the root plus every
         // verifying delta an update job committed before the crash —
@@ -859,6 +872,7 @@ main(int argc, char **argv)
                                 static_cast<unsigned long long>(
                                     catalog->currentStoreVersion()));
                 } else {
+                    refuseLostRoot(*store, g);
                     catalog =
                         std::make_unique<engine::SubstrateCatalog>(
                             g, eopts, sconfig.catalog, store.get());
@@ -874,6 +888,26 @@ main(int argc, char **argv)
                                 opts.store_dir.c_str());
                 }
             }
+        }
+
+        // With a store, admitted jobs a crashed session never finished
+        // are replayed from the WAL in front of the script's jobs. The
+        // WAL is compacted (atomic rewrite to exactly the pending set)
+        // rather than deleted, and each resumed job adopts its surviving
+        // record via journal_id — so a crash at any point of the restart
+        // replays the same pending set instead of losing it. Compaction
+        // follows recovery, so a refused restart leaves the WAL as is.
+        std::unique_ptr<storage::JobJournal> journal;
+        std::vector<storage::JobJournal::PendingJob> resumed;
+        if (store) {
+            journal = std::make_unique<storage::JobJournal>(
+                store->journalPath());
+            resumed = journal->replay();
+            if (!journal->compact(resumed)) {
+                std::printf("store         WARNING: journal compaction "
+                            "failed; keeping the old WAL\n");
+            }
+            sconfig.journal = journal.get();
         }
         auto service_ptr =
             catalog
