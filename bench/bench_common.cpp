@@ -3,9 +3,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "common/logging.hpp"
+#include "engine/substrate.hpp"
 #include "metrics/trace.hpp"
+#include "partition/preprocess.hpp"
 
 namespace digraph::bench {
 
@@ -82,16 +86,29 @@ dataset(graph::Dataset d, double scale)
 engine::DiGraphEngine &
 engineFor(graph::Dataset d, engine::ExecutionMode mode, unsigned gpus)
 {
+    // One substrate per (dataset, gpus): the partition budget depends
+    // only on the platform geometry, so the three DiGraph modes share
+    // one preprocessing result and its indexes.
+    static std::map<std::pair<int, unsigned>,
+                    std::shared_ptr<const engine::EngineSubstrate>>
+        substrates;
     static std::map<std::tuple<int, int, unsigned>,
                     std::unique_ptr<engine::DiGraphEngine>>
         cache;
     auto &slot = cache[{static_cast<int>(d), static_cast<int>(mode),
                         gpus}];
     if (!slot) {
+        const graph::DirectedGraph &g = dataset(d);
         engine::EngineOptions opts;
         opts.mode = mode;
         opts.platform = benchPlatform(gpus);
-        slot = std::make_unique<engine::DiGraphEngine>(dataset(d), opts);
+        auto &sub = substrates[{static_cast<int>(d), gpus}];
+        if (!sub) {
+            opts.resolvePartitionBudget(g.numEdges());
+            sub = engine::EngineSubstrate::build(
+                g, partition::preprocess(g, opts.preprocess));
+        }
+        slot = std::make_unique<engine::DiGraphEngine>(g, sub, opts);
     }
     return *slot;
 }

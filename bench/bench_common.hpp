@@ -48,7 +48,8 @@ const graph::DirectedGraph &dataset(graph::Dataset d, double scale);
 
 /**
  * Cached DiGraph engine for (dataset, mode, gpus) at benchScale().
- * Reused across algorithms so preprocessing happens once.
+ * Reused across algorithms, and the modes of one (dataset, gpus) share
+ * one substrate, so preprocessing happens once per pair.
  */
 engine::DiGraphEngine &engineFor(graph::Dataset d,
                                  engine::ExecutionMode mode,

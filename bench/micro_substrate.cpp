@@ -2,12 +2,17 @@
  * @file
  * Microbenchmarks of the substrate operations (proper google-benchmark
  * timing loops, unlike the figure harnesses): CSR construction, Tarjan
- * SCC, the path pipeline stages, and the four-array storage build.
- * Useful for tracking regressions in the preprocessing path.
+ * SCC, the path pipeline stages, the four-array storage build, the
+ * engine substrate build (layout, replica indexes, dispatcher) and one
+ * live-graph epoch append. Useful for tracking regressions in the
+ * preprocessing and ingestion paths.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "common/rng.hpp"
+#include "engine/substrate.hpp"
+#include "engine/substrate_catalog.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
@@ -135,6 +140,65 @@ BM_storage_build(benchmark::State &state)
                             static_cast<std::int64_t>(g.numEdges()));
 }
 
+/** Preprocessing with the partition budget an engine derives. */
+partition::Preprocessed
+enginePreprocess(const graph::DirectedGraph &g)
+{
+    engine::EngineOptions opts;
+    opts.resolvePartitionBudget(g.numEdges());
+    return partition::preprocess(g, opts.preprocess);
+}
+
+void
+BM_engine_substrate_build(benchmark::State &state)
+{
+    const auto &g = graphOf(state.range(0));
+    const auto pre = enginePreprocess(g);
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto copy = pre;
+        state.ResumeTiming();
+        const auto sub = engine::EngineSubstrate::build(g, std::move(copy));
+        benchmark::DoNotOptimize(sub->memoryBytes());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(g.numEdges()));
+}
+
+/** One epoch append of a 0.1% edge batch (no durable store): graph
+ *  append, incremental preprocessing and the epoch's substrate build.
+ *  The full-rebuild guard is off, so every iteration is incremental. */
+void
+BM_catalog_append(benchmark::State &state)
+{
+    const auto &g = graphOf(state.range(0));
+    engine::CatalogOptions policy;
+    policy.full_rebuild_fraction = 0.0;
+    engine::SubstrateCatalog cat(graph::DirectedGraph(g),
+                                 engine::EngineOptions{}, policy);
+    const std::size_t batch_edges =
+        std::max<std::size_t>(1, g.numEdges() / 1000);
+    SplitMix64 rng(11);
+    std::vector<graph::Edge> batch;
+    for (auto _ : state) {
+        state.PauseTiming();
+        batch.clear();
+        while (batch.size() < batch_edges) {
+            const auto s =
+                static_cast<VertexId>(rng.nextBounded(g.numVertices()));
+            const auto d =
+                static_cast<VertexId>(rng.nextBounded(g.numVertices()));
+            if (s != d)
+                batch.push_back({s, d, 1.0});
+        }
+        state.ResumeTiming();
+        const auto res = cat.append(batch);
+        benchmark::DoNotOptimize(res.epoch);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(batch_edges));
+}
+
 BENCHMARK(BM_csr_build)->Arg(1 << 14)->Arg(1 << 17);
 BENCHMARK(BM_tarjan_scc)->Arg(1 << 14)->Arg(1 << 17);
 BENCHMARK(BM_path_decompose)->Arg(1 << 14)->Arg(1 << 17);
@@ -142,6 +206,14 @@ BENCHMARK(BM_path_merge)->Arg(1 << 14)->Arg(1 << 17);
 BENCHMARK(BM_dependency_graph)->Arg(1 << 14)->Arg(1 << 17);
 BENCHMARK(BM_full_preprocess)->Arg(1 << 14)->Arg(1 << 17);
 BENCHMARK(BM_storage_build)->Arg(1 << 14)->Arg(1 << 17);
+BENCHMARK(BM_engine_substrate_build)
+    ->Arg(1 << 14)
+    ->Arg(1 << 17)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_catalog_append)
+    ->Arg(1 << 14)
+    ->Arg(1 << 17)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -100,6 +100,27 @@ DiGraphEngine::jobStateBytes() const
     return bytes;
 }
 
+std::size_t
+DiGraphEngine::sizeRunState()
+{
+    const PartitionId nparts = pre_.numPartitions();
+    transport_.beginRun(options_, nparts, g_.numVertices(), &counters_);
+    plane_.beginRun(pre_);
+    partition_process_count_.assign(nparts, 0);
+    // Lists the run grows one push_back at a time: each device's
+    // resident partitions, and under a fault plan the checkpoint's dirty
+    // vertices and partitions. Each is priced at twice its largest
+    // size, since a vector grown by push_back holds less than that.
+    std::size_t lists = std::size_t{nparts} * sizeof(PartitionId) *
+                        transport_.platform().numDevices();
+    if (ft_enabled_) {
+        plane_.initCheckpoint(g_, pre_);
+        lists += std::size_t{g_.numVertices()} * sizeof(VertexId) +
+                 std::size_t{nparts} * sizeof(PartitionId);
+    }
+    return jobStateBytes() + 2 * lists;
+}
+
 metrics::RunReport
 DiGraphEngine::run(const algorithms::Algorithm &algo,
                    const WarmStart *warm)

@@ -224,6 +224,17 @@ class DiGraphEngine
      *  substrate. */
     std::size_t jobStateBytes() const;
 
+    /**
+     * Host bytes a 1-lane run over this engine can hold: allocates the
+     * per-run arrays run() sets up before its first wave (the
+     * ValuePlane::beginRun arrays, the transport's partition tables,
+     * the checkpoint shadows under a fault plan or store) and returns
+     * jobStateBytes() plus a bound on the lists a run grows. A fresh
+     * engine holds only its value arrays, so admission prices jobs with
+     * this instead. The next run() re-sizes the same arrays.
+     */
+    std::size_t sizeRunState();
+
     /** Result of the post-run invariant checker (see
      *  postRunInvariants()). */
     struct InvariantReport

@@ -1,6 +1,7 @@
 #include "engine/dispatcher.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 
 #include "graph/builder.hpp"
@@ -55,53 +56,78 @@ Dispatcher::build(const partition::Preprocessed &pre,
     // of precursor SCC-vertices. SCC-vertices consisting only of
     // auxiliary star hubs (see buildDependencyGraph) carry no paths, so
     // dependencies are resolved *through* them to the nearest
-    // path-bearing ancestors.
-    std::vector<std::vector<PartitionId>> parts_of_scc(pre.dag.num_sccs);
-    for (PathId p = 0; p < np; ++p)
-        parts_of_scc[pre.scc_of_path[p]].push_back(
-            sync.partitionOfPath(p));
-    for (auto &v : parts_of_scc) {
-        std::sort(v.begin(), v.end());
-        v.erase(std::unique(v.begin(), v.end()), v.end());
+    // path-bearing ancestors. Paths are in partition order, so one pass
+    // leaves each SCC-vertex's partition list ascending and distinct.
+    const SccId nsccs = pre.dag.num_sccs;
+    std::vector<std::vector<PartitionId>> parts_of_scc(nsccs);
+    for (PathId p = 0; p < np; ++p) {
+        auto &parts = parts_of_scc[pre.scc_of_path[p]];
+        const PartitionId q = sync.partitionOfPath(p);
+        if (parts.empty() || parts.back() != q)
+            parts.push_back(q);
     }
 
-    // eff_parts[s]: partitions holding paths of the nearest path-bearing
-    // ancestor SCC-vertices of s, resolved *through* path-less (aux-only)
-    // SCC-vertices in topological order. Partition sets stay small
-    // (bounded by the partition count), so relaying through the
-    // dependency graph's star hubs cannot re-expand the quadratic
-    // producer x consumer structure the stars compressed.
-    std::vector<std::vector<PartitionId>> eff_parts(pre.dag.num_sccs);
+    // Partition sets are bitsets of ceil(nparts / 64) words: one row per
+    // partition (the union of the upstream sets of its SCC-vertices) and
+    // one per path-less relay SCC-vertex (its own upstream set, which
+    // its successors read in place of its partitions). One topological
+    // pass fills every row. A set never outgrows the partition count,
+    // so relaying through the dependency graph's star hubs cannot
+    // re-expand the quadratic producer x consumer structure the stars
+    // compressed.
+    const std::size_t words = (static_cast<std::size_t>(nparts) + 63) / 64;
+    constexpr std::size_t kNoRelay = SIZE_MAX;
+    std::vector<std::size_t> relay_row(nsccs, kNoRelay);
+    std::size_t rows = nparts;
+    for (SccId s = 0; s < nsccs; ++s) {
+        if (pre.dag.paths_in_scc[s].empty())
+            relay_row[s] = rows++;
+    }
+    std::vector<std::uint64_t> bits(rows * words, 0);
+    const auto row = [&](std::size_t r) { return bits.data() + r * words; };
+    std::vector<std::uint64_t> upstream(words);
     for (const VertexId s : graph::topologicalOrder(pre.dag.sketch)) {
-        auto &mine = eff_parts[s];
-        for (const VertexId t : pre.dag.sketch.inNeighbors(s)) {
-            const auto &src = pre.dag.paths_in_scc[t].empty()
-                                  ? eff_parts[t]
-                                  : parts_of_scc[t];
-            mine.insert(mine.end(), src.begin(), src.end());
+        const auto in = pre.dag.sketch.inNeighbors(s);
+        if (in.empty())
+            continue;
+        std::fill(upstream.begin(), upstream.end(), 0);
+        for (const VertexId t : in) {
+            if (relay_row[t] != kNoRelay) {
+                const std::uint64_t *src = row(relay_row[t]);
+                for (std::size_t w = 0; w < words; ++w)
+                    upstream[w] |= src[w];
+                continue;
+            }
+            for (const PartitionId q : parts_of_scc[t])
+                upstream[q / 64] |= std::uint64_t{1} << (q % 64);
         }
-        std::sort(mine.begin(), mine.end());
-        mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
+        if (relay_row[s] != kNoRelay) {
+            std::copy(upstream.begin(), upstream.end(), row(relay_row[s]));
+            continue;
+        }
+        for (const PartitionId q : parts_of_scc[s]) {
+            std::uint64_t *dst = row(q);
+            for (std::size_t w = 0; w < words; ++w)
+                dst[w] |= upstream[w];
+        }
     }
 
+    // Each partition's row without the partition itself, ascending.
     precursor_parts_.assign(nparts, {});
     for (PartitionId q = 0; q < nparts; ++q) {
-        std::vector<PartitionId> pre_parts;
-        SccId last = kInvalidScc;
-        for (std::uint32_t p = pre.partition_offsets[q];
-             p < pre.partition_offsets[q + 1]; ++p) {
-            const SccId sv = pre.scc_of_path[p];
-            if (sv == last)
-                continue; // partition paths are SCC-sorted
-            last = sv;
-            pre_parts.insert(pre_parts.end(), eff_parts[sv].begin(),
-                             eff_parts[sv].end());
+        std::uint64_t *mine = row(q);
+        mine[q / 64] &= ~(std::uint64_t{1} << (q % 64));
+        std::size_t count = 0;
+        for (std::size_t w = 0; w < words; ++w)
+            count += static_cast<std::size_t>(std::popcount(mine[w]));
+        auto &out = precursor_parts_[q];
+        out.reserve(count);
+        for (std::size_t w = 0; w < words; ++w) {
+            for (std::uint64_t m = mine[w]; m != 0; m &= m - 1) {
+                out.push_back(static_cast<PartitionId>(
+                    w * 64 + static_cast<std::size_t>(std::countr_zero(m))));
+            }
         }
-        std::sort(pre_parts.begin(), pre_parts.end());
-        pre_parts.erase(std::unique(pre_parts.begin(), pre_parts.end()),
-                        pre_parts.end());
-        std::erase(pre_parts, q);
-        precursor_parts_[q] = std::move(pre_parts);
     }
 
     // Partition-level dependency SCC groups (cyclically dependent

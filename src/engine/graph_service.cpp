@@ -140,14 +140,14 @@ std::size_t
 GraphService::jobBytesEstimate()
 {
     if (!job_bytes_estimate_) {
-        // Probe engine: its ValuePlane + transport bookkeeping sizes
-        // are algorithm-independent over one substrate, so one build
+        // Probe engine: the run state of a 1-lane job is
+        // algorithm-independent over one substrate, so one sizing
         // prices every future job. It is handed to the first granted
         // job on the same epoch rather than thrown away.
         spare_pin_ = catalog_->pin();
         spare_engine_ = std::make_unique<DiGraphEngine>(
             spare_pin_.graph(), spare_pin_.substrate(), options_);
-        job_bytes_estimate_ = spare_engine_->jobStateBytes();
+        job_bytes_estimate_ = spare_engine_->sizeRunState();
     }
     return job_bytes_estimate_;
 }

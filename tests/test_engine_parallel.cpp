@@ -11,12 +11,15 @@
  * catch an unwoken stale entry and an impossible version. The barrier's
  * wake picks between walking the changed masters' entries and the
  * inactive partitions' entries; both walks must wake exactly the set a
- * brute-force scan finds.
+ * brute-force scan finds. Dispatcher::build's partition bitsets must
+ * give the precursor lists and groups the sorted vector unions gave.
  */
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,10 +29,15 @@
 #include "common/rng.hpp"
 #include "engine/digraph_engine.hpp"
 #include "engine/dispatcher.hpp"
+#include "engine/substrate_catalog.hpp"
 #include "engine/value_plane.hpp"
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
+#include "graph/scc.hpp"
+#include "graph/traversal.hpp"
 #include "gpusim/fault.hpp"
 #include "metrics/trace.hpp"
+#include "partition/preprocess.hpp"
 #include "test_util.hpp"
 
 namespace digraph {
@@ -166,6 +174,233 @@ TEST(PathSelection, KeepsTheStableSortPrefix)
     }
     // The tie-break decided the cut in many draws.
     EXPECT_GT(cut_in_tie, 50u);
+}
+
+/** Precursor lists and dependency groups built with sorted vector
+ *  unions, as Dispatcher::build did before it kept partition sets as
+ *  bitsets. */
+struct ReferenceDeps
+{
+    std::vector<std::vector<PartitionId>> precursors;
+    std::vector<SccId> group;
+};
+
+ReferenceDeps
+referenceDeps(const partition::Preprocessed &pre)
+{
+    const auto dedupe = [](std::vector<PartitionId> &v) {
+        std::sort(v.begin(), v.end());
+        v.erase(std::unique(v.begin(), v.end()), v.end());
+    };
+    const PartitionId nparts = pre.numPartitions();
+    std::vector<std::vector<PartitionId>> parts_of_scc(pre.dag.num_sccs);
+    for (PathId p = 0; p < pre.paths.numPaths(); ++p)
+        parts_of_scc[pre.scc_of_path[p]].push_back(pre.partitionOfPath(p));
+    for (auto &v : parts_of_scc)
+        dedupe(v);
+    std::vector<std::vector<PartitionId>> eff_parts(pre.dag.num_sccs);
+    for (const VertexId s : graph::topologicalOrder(pre.dag.sketch)) {
+        for (const VertexId t : pre.dag.sketch.inNeighbors(s)) {
+            const auto &src = pre.dag.paths_in_scc[t].empty()
+                                  ? eff_parts[t]
+                                  : parts_of_scc[t];
+            eff_parts[s].insert(eff_parts[s].end(), src.begin(), src.end());
+        }
+        dedupe(eff_parts[s]);
+    }
+    ReferenceDeps ref;
+    ref.precursors.resize(nparts);
+    graph::GraphBuilder builder(nparts);
+    for (PartitionId q = 0; q < nparts; ++q) {
+        auto &mine = ref.precursors[q];
+        for (std::uint32_t p = pre.partition_offsets[q];
+             p < pre.partition_offsets[q + 1]; ++p) {
+            const auto &src = eff_parts[pre.scc_of_path[p]];
+            mine.insert(mine.end(), src.begin(), src.end());
+        }
+        dedupe(mine);
+        std::erase(mine, q);
+        for (const PartitionId t : mine)
+            builder.addEdge(t, q);
+    }
+    for (const auto &parts : parts_of_scc) {
+        if (parts.size() < 2)
+            continue;
+        for (std::size_t i = 0; i < parts.size(); ++i)
+            builder.addEdge(parts[i], parts[(i + 1) % parts.size()]);
+    }
+    ref.group = graph::computeScc(builder.build()).component;
+    return ref;
+}
+
+void
+expectReferenceDeps(const engine::EngineSubstrate &sub,
+                    const std::string &label)
+{
+    const auto ref = referenceDeps(sub.pre);
+    for (PartitionId q = 0; q < sub.pre.numPartitions(); ++q) {
+        ASSERT_EQ(sub.dispatcher.precursors(q), ref.precursors[q])
+            << label << " partition " << q;
+        ASSERT_EQ(sub.dispatcher.group(q), ref.group[q])
+            << label << " partition " << q;
+    }
+}
+
+/** Path-less SCC-vertices of @p pre's sketch that have a predecessor:
+ *  the relays precursor sets are resolved through. */
+std::size_t
+countRelays(const partition::Preprocessed &pre)
+{
+    std::size_t relays = 0;
+    for (SccId s = 0; s < pre.dag.num_sccs; ++s) {
+        if (pre.dag.paths_in_scc[s].empty() &&
+            !pre.dag.sketch.inNeighbors(s).empty())
+            ++relays;
+    }
+    return relays;
+}
+
+/** Route every relay's out-edges through a fresh path-less SCC-vertex,
+ *  so relays feed relays. A dependency graph never has such an edge (a
+ *  star's hub links paths only), but the relation must resolve it. */
+partition::Preprocessed
+chainRelays(partition::Preprocessed pre)
+{
+    auto &dag = pre.dag;
+    const SccId n = dag.num_sccs;
+    std::vector<std::pair<SccId, SccId>> edges;
+    SccId next = n;
+    for (SccId s = 0; s < n; ++s) {
+        SccId from = s;
+        if (dag.paths_in_scc[s].empty() &&
+            !dag.sketch.inNeighbors(s).empty()) {
+            from = next++;
+            edges.emplace_back(s, from);
+        }
+        for (const VertexId t : dag.sketch.outNeighbors(s))
+            edges.emplace_back(from, t);
+    }
+    graph::GraphBuilder builder(next);
+    for (const auto &[a, b] : edges)
+        builder.addEdge(a, b);
+    dag.sketch = builder.build();
+    dag.num_sccs = next;
+    dag.paths_in_scc.resize(next);
+    dag.layer.resize(next, 0);
+    return pre;
+}
+
+/**
+ * Rings 0..8 (directed 24-cycles) joined by hubs 0..7: every vertex of
+ * ring h feeds hub h, which feeds every vertex of ring h + 1. A hub is
+ * acyclic between two cyclic SCCs, so region-confined paths end at it
+ * or start from it, and its 24 x 24 dependency star becomes a path-less
+ * relay between the rings' paths.
+ */
+graph::DirectedGraph
+hubChainGraph()
+{
+    constexpr VertexId kHubs = 8;
+    constexpr VertexId kRing = 24;
+    const auto ring = [](VertexId r, VertexId k) {
+        return kHubs + r * kRing + k;
+    };
+    graph::GraphBuilder b(kHubs + (kHubs + 1) * kRing);
+    for (VertexId r = 0; r <= kHubs; ++r) {
+        for (VertexId k = 0; k < kRing; ++k)
+            b.addEdge(ring(r, k), ring(r, (k + 1) % kRing));
+    }
+    for (VertexId h = 0; h < kHubs; ++h) {
+        for (VertexId k = 0; k < kRing; ++k) {
+            b.addEdge(ring(h, k), h);
+            b.addEdge(h, ring(h + 1, k));
+        }
+    }
+    return b.build();
+}
+
+partition::PreprocessOptions
+budgetOptions(std::size_t edges_per_partition)
+{
+    partition::PreprocessOptions opts;
+    opts.partition.edges_per_partition = edges_per_partition;
+    return opts;
+}
+
+TEST(DispatcherBuild, PrecursorsMatchReferenceUnion)
+{
+    // Every stand-in, with the engine's own partition budget.
+    for (const auto d : graph::allDatasets()) {
+        const auto g = graph::makeDataset(d, 0.05);
+        const engine::DiGraphEngine eng(g);
+        expectReferenceDeps(*eng.substrate(), graph::datasetName(d));
+    }
+
+    // Hubs whose stars are path-less relays, and the same sketch with
+    // every relay feeding a second relay.
+    {
+        const auto g = hubChainGraph();
+        auto pre = partition::preprocess(g, budgetOptions(16));
+        ASSERT_EQ(countRelays(pre), 8u);
+        ASSERT_GT(pre.numPartitions(), 8u);
+        auto chained = chainRelays(pre);
+        EXPECT_EQ(countRelays(chained), 2 * countRelays(pre));
+        expectReferenceDeps(*engine::EngineSubstrate::build(g, pre),
+                            "hubs");
+        expectReferenceDeps(
+            *engine::EngineSubstrate::build(g, std::move(chained)),
+            "chained hubs");
+    }
+
+    // Every epoch of a 10-append chain: appended paths become isolated
+    // SCC-vertices in appended partitions.
+    {
+        graph::GeneratorConfig c;
+        c.num_vertices = 400;
+        c.num_edges = 2400;
+        c.seed = 5;
+        engine::SubstrateCatalog cat(graph::generate(c), {});
+        SplitMix64 rng(6);
+        const PartitionId root_parts =
+            cat.currentSubstrate()->pre.numPartitions();
+        for (int e = 0; e <= 10; ++e) {
+            if (e > 0) {
+                std::vector<graph::Edge> batch;
+                while (batch.size() < 40) {
+                    const auto s = static_cast<VertexId>(
+                        rng.nextBounded(c.num_vertices));
+                    const auto t = static_cast<VertexId>(
+                        rng.nextBounded(c.num_vertices));
+                    if (s != t)
+                        batch.push_back({s, t, 1.0});
+                }
+                ASSERT_TRUE(cat.append(batch).created);
+            }
+            expectReferenceDeps(*cat.currentSubstrate(),
+                                "epoch " + std::to_string(e + 1));
+        }
+        EXPECT_GT(cat.currentSubstrate()->pre.numPartitions(), root_parts);
+    }
+
+    // Partition counts on both sides of the 64-partition word boundary.
+    {
+        const auto g = graph::makeDataset(graph::Dataset::twitter, 0.05);
+        bool below = false;
+        bool above = false;
+        for (const std::size_t div : {40, 60, 64, 66, 70, 130, 200}) {
+            const auto pre =
+                partition::preprocess(g, budgetOptions(g.numEdges() / div));
+            const PartitionId n = pre.numPartitions();
+            below = below || (n > 32 && n <= 64);
+            above = above || (n > 64 && n <= 128);
+            expectReferenceDeps(
+                *engine::EngineSubstrate::build(g, pre),
+                "budget 1/" + std::to_string(div) + ", " +
+                    std::to_string(n) + " partitions");
+        }
+        EXPECT_TRUE(below);
+        EXPECT_TRUE(above);
+    }
 }
 
 TEST(SerialWaves, FreshEnginesAgreeOnEveryTestGraph)

@@ -282,6 +282,36 @@ TEST(GraphService, RejectsJobOverByteBudget)
     EXPECT_EQ(service.stats().completed, 0u);
 }
 
+TEST(GraphService, ByteEstimateCoversAFinishedJob)
+{
+    // Admission prices a query with a probe engine. The price must cover
+    // what a 1-lane job holds once it has run (activation flags, path
+    // counters, versions, dedupe stamps and dirty sets included), so a
+    // budget one byte below a finished job's state rejects the job.
+    const auto g = testGraph();
+    for (const char *spec : {"pagerank", "sssp:0", "wcc"}) {
+        std::size_t held = 0;
+        {
+            engine::ServiceConfig config;
+            config.state_budget_bytes = std::size_t{1} << 40;
+            engine::GraphService service(g, testOptions(), config);
+            service.addJobAsync(spec);
+            const auto results = service.drain();
+            ASSERT_EQ(results.size(), 1u) << spec;
+            held = results[0].job_state_bytes;
+        }
+        ASSERT_GT(held, 1u) << spec;
+        engine::ServiceConfig config;
+        config.state_budget_bytes = held - 1;
+        engine::GraphService service(g, testOptions(), config);
+        const auto id = service.addJobAsync(spec);
+        const auto status = service.poll(id);
+        EXPECT_EQ(status.state, engine::JobState::Rejected) << spec;
+        EXPECT_NE(status.detail.find("budget"), std::string::npos) << spec;
+        EXPECT_TRUE(service.drain().empty()) << spec;
+    }
+}
+
 TEST(GraphService, RejectsPastAdmissionQueueLimit)
 {
     const auto g = testGraph();
